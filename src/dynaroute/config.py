@@ -42,9 +42,10 @@ class TrafficConfig:
             raise ConfigError("load must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossSettings:
-    """Resolved per-case loss process parameters."""
+    """Resolved per-case loss process parameters; immutable, so the shared
+    LOSS_CASES presets cannot be altered through a config."""
 
     kind: LossKind
     p_drop: float = 0.0

@@ -535,7 +535,6 @@ def run(config: ScenarioConfig | None = None, seed: int = 0, mode: str = "dynaro
                     agent.infeasible_fallback = sol.infeasible_fallback
                     # receding horizon: only the first input is ever applied
                     agent.applied = sol.first_input
-                    assert agent.applied is sol.trajectory.inputs[0]
             else:
                 if agent.held_inputs and (fresh or k == 0):
                     offset = min(agent.held_offset, len(agent.held_inputs) - 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +25,9 @@ from .control import (
     trajectory_costs,
 )
 from .dynamics import VehicleState
-from .scheduling import Packet, ScheduleDecision, _grants_for, hop_slots
+from .scheduling import ScheduleDecision, fit_deadline_order, slot_options
 
 BOUNDARY_SENTINEL = sys.float_info.max
-INFEASIBLE_COST = 1e12
 
 
 @dataclass
@@ -122,6 +122,49 @@ class JointContext:
     def routing_gene_sizes(self) -> list:
         return [max(len(c), 1) for c in self.candidates]
 
+    @cached_property
+    def decode_table(self) -> "DecodeTable":
+        return DecodeTable.build(self)
+
+
+@dataclass(frozen=True)
+class DecodeTable:
+    """Per-context decode inputs: the packets with candidates in deadline
+    order, each as (position in ctx.packets, packet, SlotOptions), with
+    start bits counted from the context's schedule_start."""
+
+    rows: tuple
+    n_links: int
+    n_channels: int
+    origin: int
+
+    @classmethod
+    def build(cls, ctx: JointContext) -> "DecodeTable":
+        order = sorted(
+            range(len(ctx.packets)), key=lambda i: (ctx.packets[i].last_slot, ctx.packets[i].id)
+        )
+        link_ids: dict = {}
+        rows = tuple(
+            (i, ctx.packets[i], slot_options(
+                ctx.packets[i], ctx.candidates[i], ctx.schedule_start, ctx.schedule_end, link_ids
+            ))
+            for i in order
+            if ctx.candidates[i]
+        )
+        return cls(rows, len(link_ids), ctx.n_channels, ctx.schedule_start)
+
+    def fit(self, routing_genes: np.ndarray) -> list:
+        """(packet, option, start slot) per placed packet, in deadline order:
+        each packet tries only its gene-chosen path (gene modulo the number
+        of candidates), at the earliest workable start."""
+        genes = np.asarray(routing_genes, dtype=int).tolist()
+        placed = fit_deadline_order(
+            ((options[genes[i] % len(options)],) for i, _packet, options in self.rows),
+            self.n_links, self.n_channels,
+        )
+        rows = self.rows
+        return [(rows[pos][1], option, self.origin + start) for pos, option, start in placed]
+
 
 def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDecision:
     """Turn per-packet path indices into a feasible schedule.
@@ -130,57 +173,25 @@ def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDec
     slot; one route per packet and one grant per link-slot hold by
     construction, so decoded schedules always pass the feasibility check.
     """
-    decision = ScheduleDecision()
-    slot_load: dict = {}
-    link_busy: set = set()
-    order = sorted(range(len(ctx.packets)), key=lambda i: (ctx.packets[i].last_slot, ctx.packets[i].id))
-    for i in order:
-        packet: Packet = ctx.packets[i]
-        cands = ctx.candidates[i]
-        if not cands:
-            continue
-        cand = cands[int(routing_genes[i]) % len(cands)]
-        n_hops = len(cand.hops) - 1
-        first = max(packet.arrival_slot, ctx.schedule_start)
-        last_start = min(packet.last_slot - n_hops + 1, ctx.schedule_end - n_hops)
-        for k0 in range(first, last_start + 1):
-            events = hop_slots(cand, k0)
-            ok = True
-            counts: dict = {}
-            for link, slot in events:
-                if (link, slot) in link_busy:
-                    ok = False
-                    break
-                counts[slot] = counts.get(slot, 0) + 1
-                if slot_load.get(slot, 0) + counts[slot] > ctx.n_channels:
-                    ok = False
-                    break
-            if ok:
-                decision.route_assign[(packet.id, k0)] = cand
-                for link, slot in events:
-                    link_busy.add((link, slot))
-                    slot_load[slot] = slot_load.get(slot, 0) + 1
-                break
-    grants = _grants_for(
-        ev for (pid, k0), cand in decision.route_assign.items() for ev in hop_slots(cand, k0)
-    )
-    decision.channel_assign = grants or {}
-    return decision
+    return ScheduleDecision.with_grants({
+        (packet.id, k0): option.cand for packet, option, k0 in ctx.decode_table.fit(routing_genes)
+    })
 
 
 def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) -> None:
-    """Score genomes in place, batching the control rollouts per vehicle."""
+    """Score genomes in place, batching the control rollouts per vehicle.
+
+    Y sums the path values of the decoded schedule in deadline order, the
+    same sum as ScheduleDecision.objective; the channel grants are not
+    needed for it and are left to decode_schedule.
+    """
     n = len(individuals)
     if n == 0:
         return
-    decode_ok = np.ones(n, dtype=bool)
-    for i, ind in enumerate(individuals):
-        try:
-            decision = decode_schedule(ctx, ind.routing_genes)
-            ind.objective_y = decision.objective()
-        except Exception:
-            decode_ok[i] = False
-            ind.objective_y = 0.0
+    table = ctx.decode_table
+    for ind in individuals:
+        placed = table.fit(ind.routing_genes)
+        ind.objective_y = sum([option.cand.path_value for _packet, option, _k0 in placed])
 
     cfg = ctx.platoon
     costs = np.zeros(n)
@@ -198,10 +209,6 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
         pos_dev += np.abs(states[:, :, 0] - problem.reference[None, :, 0]).mean(axis=1)
 
     for i, ind in enumerate(individuals):
-        if not decode_ok[i]:
-            ind.objective_j = INFEASIBLE_COST
-            ind.feasible = False
-            continue
         ind.objective_j = float(costs[i])
         ind.feasible = bool(feasible[i])
         ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
@@ -223,35 +230,43 @@ def dominates(a: Individual, b: Individual) -> bool:
 
 
 def non_dominated_sort(population: Sequence[Individual]) -> list:
-    """Fast non-dominated sort; assigns ranks and returns the fronts."""
+    """Fast non-dominated sort; assigns ranks and returns the fronts.
+
+    Feasible-first dominance on (Y, -J) is computed as one boolean matrix;
+    fronts are then peeled from its dominator counts. Front 0 is in index
+    order; a later front is ordered by the position, within the previous
+    front, of each member's last dominator there, ties by index.
+    """
     n = len(population)
+    if n == 0:
+        return []
+    y = np.array([ind.objective_y for ind in population], dtype=float)
+    j = np.array([ind.objective_j for ind in population], dtype=float)
+    feas = np.array([ind.feasible for ind in population], dtype=bool)
+    yc, yr, jc, jr = y[:, None], y[None, :], j[:, None], j[None, :]
+    pareto = (yc >= yr) & (jc <= jr) & ((yc > yr) | (jc < jr))
+    fc, fr = feas[:, None], feas[None, :]
+    dom = np.where(fc == fr, pareto, fc & ~fr)
+
+    counts = dom.sum(axis=0).tolist()
     dominated_by: list = [[] for _ in range(n)]
-    counts = [0] * n
-    fronts = [[]]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(population[p], population[q]):
-                dominated_by[p].append(q)
-            elif dominates(population[q], population[p]):
-                counts[p] += 1
-        if counts[p] == 0:
-            population[p].rank = 0
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
+    for p, q in zip(*(ix.tolist() for ix in np.nonzero(dom))):
+        dominated_by[p].append(q)
+    fronts = []
+    front = [p for p in range(n) if counts[p] == 0]
+    while front:
+        fronts.append([population[p] for p in front])
         nxt = []
-        for p in fronts[i]:
+        for p in front:
             for q in dominated_by[p]:
                 counts[q] -= 1
                 if counts[q] == 0:
-                    population[q].rank = i + 1
                     nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
-    return [[population[i] for i in front] for front in fronts]
+        front = nxt
+    for rank, members in enumerate(fronts):
+        for ind in members:
+            ind.rank = rank
+    return fronts
 
 
 def crowding_distance(front: Sequence[Individual], combined: bool = True) -> list:

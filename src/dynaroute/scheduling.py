@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .channel import LinkSnapshot
 from .link_metrics import (
     MetricWeights,
     NodeStatus,
@@ -84,6 +83,7 @@ class TopologySnapshot:
     _path_cache: dict = field(default_factory=dict, repr=False)
     _neighbor_cache: dict | None = field(default=None, repr=False)
     _weight_cache: dict | None = field(default=None, repr=False)
+    _hop_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for i, j in self.links:
@@ -123,14 +123,68 @@ class TopologySnapshot:
                 )
         return self._weight_cache[node]
 
+    def hop_factors(self, u, w, destination) -> tuple:
+        """(staying time, delivery prob, node weight, lifetime-capped
+        mobility numerator) of the hop u->w toward destination, computed
+        once per snapshot."""
+        key = (u, w, destination)
+        factors = self._hop_cache.get(key)
+        if factors is None:
+            pu, pw = self.positions[u], self.positions[w]
+            planar = math.hypot(pw[0] - pu[0], pw[1] - pu[1])
+            sd = staying_time(
+                self.comm_range,
+                min(planar, self.comm_range),
+                self.speeds.get(u, 0.0),
+                self.speeds.get(w, 0.0),
+            )
+            weight = self.node_weight_of(w)
+            align = hop_alignment(pu, pw, self.positions[destination])
+            factors = (
+                sd,
+                self.links[(u, w)].delivery_prob,
+                weight,
+                min(sd, self.lifetime_horizon) * weight * align,
+            )
+            self._hop_cache[key] = factors
+        return factors
+
     def candidate_paths(self, source, destination, max_hops: int) -> list:
         """Best path_cap candidates by value, enumeration order preserved on ties."""
         key = (source, destination, max_hops)
         if key not in self._path_cache:
-            cands = enumerate_paths(self, source, destination, max_hops)
-            cands.sort(key=lambda c: -c.path_value)
-            self._path_cache[key] = cands[: self.path_cap]
+            found = _loop_free_hops(self, source, destination, max_hops)
+            scores = [path_score(self, hops) for hops in found]
+            keep = sorted(range(len(found)), key=lambda i: -scores[i])[: self.path_cap]
+            self._path_cache[key] = [build_path_candidate(self, found[i]) for i in keep]
         return self._path_cache[key]
+
+
+def _score(factors: list, sigma: float) -> float:
+    """Hop-count-normalized aggregate of the per-hop mobility factors
+    (lifetime x receiver weight x progress alignment over the speed
+    dispersion sigma) times the end-to-end delivery probability per channel
+    use: relaying only scores higher when the direct link is genuinely poor
+    enough to pay for the extra transmissions."""
+    sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
+    mobility = []
+    success = 1.0
+    for _sd, prob, _weight, numerator in factors:
+        mobility.append(numerator / sigma_eff)
+        success *= prob
+    return normalized_hop_aggregate(mobility) * success / len(mobility)
+
+
+def path_score(topology: TopologySnapshot, hops: Sequence) -> float:
+    """Ranking value of one relay sequence; equals the path_value of
+    build_path_candidate(topology, hops)."""
+    dst = hops[-1]
+    cache = topology._hop_cache
+    factors = [
+        cache.get((u, w, dst)) or topology.hop_factors(u, w, dst)
+        for u, w in zip(hops[:-1], hops[1:])
+    ]
+    return _score(factors, velocity_variance([topology.speeds.get(n, 0.0) for n in hops]))
 
 
 def build_path_candidate(
@@ -138,46 +192,57 @@ def build_path_candidate(
 ) -> PathCandidate:
     """Score one relay sequence with the mobility-aware per-hop metrics.
 
-    The stored path_value is the hop-count-normalized aggregate with the
-    per-hop direction factor taken as progress alignment, so scores stay
-    comparable across path lengths when ranking and scheduling.
+    The stored path_value is the hop-count-normalized score of path_score,
+    so scores stay comparable across path lengths when ranking and
+    scheduling.
     """
+    positions = topology.positions
     src, dst = hops[0], hops[-1]
-    sigma = velocity_variance([topology.speeds.get(n, 0.0) for n in hops])
+    factors = []
     per_hop = []
     node_weights = []
-    mobility = []
-    success = 1.0
     for u, w in zip(hops[:-1], hops[1:]):
-        link: LinkSnapshot = topology.links[(u, w)]
-        pu, pw = topology.positions[u], topology.positions[w]
-        planar = math.hypot(pw[0] - pu[0], pw[1] - pu[1])
-        sd = staying_time(
-            topology.comm_range,
-            min(planar, topology.comm_range),
-            topology.speeds.get(u, 0.0),
-            topology.speeds.get(w, 0.0),
-        )
-        ratio = direction_ratio(pw, topology.positions[src], topology.positions[dst])
-        weight = topology.node_weight_of(w)
-        align = hop_alignment(pu, pw, topology.positions[dst])
-        sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
-        per_hop.append((sd, ratio, link.delivery_prob))
+        sd, prob, weight, numerator = topology.hop_factors(u, w, dst)
+        ratio = direction_ratio(positions[w], positions[src], positions[dst])
+        factors.append((sd, prob, weight, numerator))
+        per_hop.append((sd, ratio, prob))
         node_weights.append(weight)
-        mobility.append(min(sd, topology.lifetime_horizon) * weight * align / sigma_eff)
-        success *= link.delivery_prob
-    n_hops = len(mobility)
-    # end-to-end delivery per channel use, modulated by the hop-normalized
-    # mobility factors: relaying only scores higher when the direct link is
-    # genuinely poor enough to pay for the extra transmissions
-    score = normalized_hop_aggregate(mobility) * success / n_hops
+    sigma = velocity_variance([topology.speeds.get(n, 0.0) for n in hops])
     return PathCandidate(
         hops=tuple(hops),
         per_hop=tuple(per_hop),
         node_weights=tuple(node_weights),
         sigma_v=sigma,
-        path_value=score,
+        path_value=_score(factors, sigma),
     )
+
+
+def _loop_free_hops(
+    topology: TopologySnapshot, source, destination, max_hops: int
+) -> list:
+    """Hop tuples of all loop-free source->destination paths of at most
+    max_hops edges, in lexicographic order of the node reprs: the
+    depth-first walk visits repr-sorted neighbor lists, so it finds the
+    paths in that order."""
+    if source == destination:
+        raise ValueError("source and destination must differ")
+    if max_hops < 1:
+        raise ValueError("max_hops must be at least 1")
+    found: list = []
+    _extend_paths(topology._neighbor_lists(), destination, (source,), max_hops, found)
+    return found
+
+
+def _extend_paths(adjacency: dict, destination, path: tuple, hops_left: int, found: list):
+    if hops_left == 1:
+        if destination in adjacency.get(path[-1], ()):
+            found.append((*path, destination))
+        return
+    for nxt in adjacency.get(path[-1], ()):
+        if nxt == destination:
+            found.append((*path, nxt))
+        elif nxt not in path:
+            _extend_paths(adjacency, destination, (*path, nxt), hops_left - 1, found)
 
 
 def enumerate_paths(
@@ -185,28 +250,10 @@ def enumerate_paths(
 ) -> list:
     """All loop-free source->destination paths of at most max_hops edges,
     in lexicographic node-id order."""
-    if source == destination:
-        raise ValueError("source and destination must differ")
-    if max_hops < 1:
-        raise ValueError("max_hops must be at least 1")
-    adjacency = topology._neighbor_lists()
-
-    found = []
-
-    def dfs(node, path):
-        if len(path) - 1 >= max_hops:
-            return
-        for nxt in adjacency.get(node, ()):
-            if nxt in path:
-                continue
-            if nxt == destination:
-                found.append(tuple(path + [nxt]))
-            else:
-                dfs(nxt, path + [nxt])
-
-    dfs(source, [source])
-    found.sort(key=lambda hops: tuple(repr(h) for h in hops))
-    return [build_path_candidate(topology, hops) for hops in found]
+    return [
+        build_path_candidate(topology, hops)
+        for hops in _loop_free_hops(topology, source, destination, max_hops)
+    ]
 
 
 @dataclass
@@ -223,13 +270,14 @@ class ScheduleDecision:
     def objective(self) -> float:
         return sum(c.path_value for c in self.route_assign.values())
 
-    def transmissions(self) -> list:
-        """(link, slot, packet_id) events implied by the routing choices."""
-        events = []
-        for (pid, k0), cand in sorted(self.route_assign.items(), key=repr):
-            for h, link in enumerate(zip(cand.hops[:-1], cand.hops[1:])):
-                events.append((link, k0 + h, pid))
-        return events
+    @classmethod
+    def with_grants(cls, route_assign: dict) -> "ScheduleDecision":
+        """Decision for collision-free routes, granting each slot's links
+        channels in link order."""
+        grants = _grants_for(
+            ev for (_pid, k0), cand in route_assign.items() for ev in hop_slots(cand, k0)
+        )
+        return cls(route_assign, grants or {})
 
 
 def hop_slots(cand: PathCandidate, start_slot: int) -> list:
@@ -371,6 +419,78 @@ def solve_schedule_exact(
     return best if best is not None else ScheduleDecision()
 
 
+class SlotOption(NamedTuple):
+    """One candidate path of a packet, prepared for the bitmask fit."""
+
+    cand: PathCandidate
+    links: tuple  # integer link id per hop
+    starts: int  # allowed start slots; bit s is slot origin + s
+
+
+def slot_options(
+    packet: Packet, cands: Sequence[PathCandidate], origin: int, end: int, link_ids: dict
+) -> tuple:
+    """Bitmask options of each candidate: path started no earlier than
+    max(arrival, origin), finishing by the packet's last slot and before end.
+
+    link_ids maps each directed link to its integer id and is extended with
+    links not yet seen.
+    """
+    first = max(packet.arrival_slot, origin)
+    options = []
+    for cand in cands:
+        hops = cand.hops
+        n_hops = len(hops) - 1
+        last = min(packet.last_slot - n_hops + 1, end - n_hops)
+        starts = ((1 << (last - first + 1)) - 1) << (first - origin) if last >= first else 0
+        links = tuple(
+            link_ids.setdefault(link, len(link_ids)) for link in zip(hops[:-1], hops[1:])
+        )
+        options.append(SlotOption(cand, links, starts))
+    return tuple(options)
+
+
+def fit_deadline_order(choices: Iterable, n_links: int, n_channels: int) -> list:
+    """The deadline-order schedule fit shared by the GA decode and the
+    greedy solver.
+
+    choices holds, per packet in fitting order, the SlotOptions to try in
+    turn; the first option with a workable start is placed at its earliest
+    one, where every hop h of a start s needs link l_h idle and a free
+    channel in slot s + h. Occupancy is kept as integer bitmasks over slots,
+    so one route per packet and one grant per link-slot hold by
+    construction. Returns (position in choices, option, start bit) per
+    placed packet.
+    """
+    busy = [0] * n_links
+    load: dict = {}
+    full = 0 if n_channels > 0 else -1
+    placed = []
+    for pos, options in enumerate(choices):
+        for option in options:
+            _cand, links, starts = option
+            bad = 0
+            h = 0
+            for link in links:
+                bad |= (busy[link] | full) >> h
+                h += 1
+            free = starts & ~bad
+            if not free:
+                continue
+            start = (free & -free).bit_length() - 1
+            slot, bit = start, 1 << start
+            for link in links:
+                busy[link] |= bit
+                n = load.get(slot, 0) + 1
+                load[slot] = n
+                if n == n_channels:
+                    full |= bit
+                slot, bit = slot + 1, bit << 1
+            placed.append((pos, option, start))
+            break
+    return placed
+
+
 def solve_schedule_greedy(
     packets: Sequence[Packet],
     topology: TopologySnapshot,
@@ -378,41 +498,27 @@ def solve_schedule_greedy(
     horizon: int,
     max_hops: int = 3,
 ) -> ScheduleDecision:
-    """Deadline-first greedy assignment; always returns a feasible decision."""
-    slot_load: dict = {}
-    link_busy: set = set()
-    decision = ScheduleDecision()
+    """Deadline-first greedy assignment; always returns a feasible decision.
 
-    def fits(events) -> bool:
-        counts: dict = {}
-        for link, slot in events:
-            if (link, slot) in link_busy:
-                return False
-            counts[slot] = counts.get(slot, 0) + 1
-            if slot_load.get(slot, 0) + counts[slot] > n_channels:
-                return False
-        return True
+    Each packet takes its highest-valued candidate that still has a
+    workable start, at the earliest such start.
+    """
 
     def best_value(packet: Packet) -> float:
         cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
         return cands[0].path_value if cands else 0.0
 
-    for packet in sorted(packets, key=lambda p: (p.last_slot, -best_value(p), p.id)):
-        options = _packet_options(packet, topology, horizon, max_hops)
-        options.sort(key=lambda o: (-o[1].path_value, o[0], o[2]))
-        for _idx, cand, k0 in options:
-            events = hop_slots(cand, k0)
-            if fits(events):
-                decision.route_assign[(packet.id, k0)] = cand
-                for link, slot in events:
-                    link_busy.add((link, slot))
-                    slot_load[slot] = slot_load.get(slot, 0) + 1
-                break
+    ordered = sorted(packets, key=lambda p: (p.last_slot, -best_value(p), p.id))
+    origin = min((p.arrival_slot for p in ordered), default=0)
+    link_ids: dict = {}
+    choices = []
+    for packet in ordered:
+        cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
+        options = slot_options(packet, cands, origin, horizon, link_ids)
+        # stable: equal values keep candidate order
+        choices.append(sorted(options, key=lambda o: -o.cand.path_value))
 
-    all_events = [
-        ev for (pid, k0), cand in decision.route_assign.items()
-        for ev in hop_slots(cand, k0)
-    ]
-    grants = _grants_for(all_events)
-    decision.channel_assign = grants if grants is not None else {}
-    return decision
+    return ScheduleDecision.with_grants({
+        (ordered[pos].id, origin + start): option.cand
+        for pos, option, start in fit_deadline_order(choices, len(link_ids), n_channels)
+    })

@@ -1,0 +1,206 @@
+"""Reference implementations kept for the tests: straightforward per-genome
+and per-path loops that the table-driven code in `dynaroute` must reproduce
+exactly (same placements, same float bits, same front order, same kept
+paths).
+"""
+
+from __future__ import annotations
+
+import math
+
+from dynaroute.link_metrics import (
+    PathCandidate,
+    direction_ratio,
+    hop_alignment,
+    normalized_hop_aggregate,
+    staying_time,
+    velocity_variance,
+)
+from dynaroute.optimizer import JointContext, dominates
+from dynaroute.scheduling import (
+    SIGMA_SCORE_FLOOR,
+    Packet,
+    ScheduleDecision,
+    TopologySnapshot,
+    _grants_for,
+    _packet_options,
+    hop_slots,
+)
+
+
+def decode_schedule(ctx: JointContext, routing_genes) -> ScheduleDecision:
+    """Deadline-order decode over (link, slot) sets: each packet takes its
+    gene-chosen candidate at the earliest start whose hops find the link
+    idle and a channel free."""
+    decision = ScheduleDecision()
+    slot_load: dict = {}
+    link_busy: set = set()
+    order = sorted(range(len(ctx.packets)), key=lambda i: (ctx.packets[i].last_slot, ctx.packets[i].id))
+    for i in order:
+        packet: Packet = ctx.packets[i]
+        cands = ctx.candidates[i]
+        if not cands:
+            continue
+        cand = cands[int(routing_genes[i]) % len(cands)]
+        n_hops = len(cand.hops) - 1
+        first = max(packet.arrival_slot, ctx.schedule_start)
+        last_start = min(packet.last_slot - n_hops + 1, ctx.schedule_end - n_hops)
+        for k0 in range(first, last_start + 1):
+            events = hop_slots(cand, k0)
+            ok = True
+            counts: dict = {}
+            for link, slot in events:
+                if (link, slot) in link_busy:
+                    ok = False
+                    break
+                counts[slot] = counts.get(slot, 0) + 1
+                if slot_load.get(slot, 0) + counts[slot] > ctx.n_channels:
+                    ok = False
+                    break
+            if ok:
+                decision.route_assign[(packet.id, k0)] = cand
+                for link, slot in events:
+                    link_busy.add((link, slot))
+                    slot_load[slot] = slot_load.get(slot, 0) + 1
+                break
+    grants = _grants_for(
+        ev for (pid, k0), cand in decision.route_assign.items() for ev in hop_slots(cand, k0)
+    )
+    decision.channel_assign = grants or {}
+    return decision
+
+
+def non_dominated_sort(population) -> list:
+    """Pairwise fast non-dominated sort (Deb et al. 2002); assigns ranks and
+    returns the fronts as lists of individuals."""
+    n = len(population)
+    dominated_by: list = [[] for _ in range(n)]
+    counts = [0] * n
+    fronts = [[]]
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            if dominates(population[p], population[q]):
+                dominated_by[p].append(q)
+            elif dominates(population[q], population[p]):
+                counts[p] += 1
+        if counts[p] == 0:
+            population[p].rank = 0
+            fronts[0].append(p)
+    i = 0
+    while fronts[i]:
+        nxt = []
+        for p in fronts[i]:
+            for q in dominated_by[p]:
+                counts[q] -= 1
+                if counts[q] == 0:
+                    population[q].rank = i + 1
+                    nxt.append(q)
+        i += 1
+        fronts.append(nxt)
+    fronts.pop()
+    return [[population[i] for i in front] for front in fronts]
+
+
+def solve_schedule_greedy(
+    packets, topology: TopologySnapshot, n_channels: int, horizon: int, max_hops: int = 3
+) -> ScheduleDecision:
+    """Deadline-first greedy over explicit (candidate, start) options tried
+    by value, candidate index and start."""
+    slot_load: dict = {}
+    link_busy: set = set()
+    decision = ScheduleDecision()
+
+    def fits(events) -> bool:
+        counts: dict = {}
+        for link, slot in events:
+            if (link, slot) in link_busy:
+                return False
+            counts[slot] = counts.get(slot, 0) + 1
+            if slot_load.get(slot, 0) + counts[slot] > n_channels:
+                return False
+        return True
+
+    def best_value(packet: Packet) -> float:
+        cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
+        return cands[0].path_value if cands else 0.0
+
+    for packet in sorted(packets, key=lambda p: (p.last_slot, -best_value(p), p.id)):
+        options = _packet_options(packet, topology, horizon, max_hops)
+        options.sort(key=lambda o: (-o[1].path_value, o[0], o[2]))
+        for _idx, cand, k0 in options:
+            events = hop_slots(cand, k0)
+            if fits(events):
+                decision.route_assign[(packet.id, k0)] = cand
+                for link, slot in events:
+                    link_busy.add((link, slot))
+                    slot_load[slot] = slot_load.get(slot, 0) + 1
+                break
+
+    all_events = [
+        ev for (pid, k0), cand in decision.route_assign.items()
+        for ev in hop_slots(cand, k0)
+    ]
+    grants = _grants_for(all_events)
+    decision.channel_assign = grants if grants is not None else {}
+    return decision
+
+
+def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
+    """Score one relay sequence hop by hop from the link metrics."""
+    src, dst = hops[0], hops[-1]
+    sigma = velocity_variance([topology.speeds.get(n, 0.0) for n in hops])
+    per_hop = []
+    node_weights = []
+    mobility = []
+    success = 1.0
+    for u, w in zip(hops[:-1], hops[1:]):
+        link = topology.links[(u, w)]
+        pu, pw = topology.positions[u], topology.positions[w]
+        planar = math.hypot(pw[0] - pu[0], pw[1] - pu[1])
+        sd = staying_time(
+            topology.comm_range,
+            min(planar, topology.comm_range),
+            topology.speeds.get(u, 0.0),
+            topology.speeds.get(w, 0.0),
+        )
+        ratio = direction_ratio(pw, topology.positions[src], topology.positions[dst])
+        weight = topology.node_weight_of(w)
+        align = hop_alignment(pu, pw, topology.positions[dst])
+        sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
+        per_hop.append((sd, ratio, link.delivery_prob))
+        node_weights.append(weight)
+        mobility.append(min(sd, topology.lifetime_horizon) * weight * align / sigma_eff)
+        success *= link.delivery_prob
+    score = normalized_hop_aggregate(mobility) * success / len(mobility)
+    return PathCandidate(
+        hops=tuple(hops),
+        per_hop=tuple(per_hop),
+        node_weights=tuple(node_weights),
+        sigma_v=sigma,
+        path_value=score,
+    )
+
+
+def candidate_paths(topology: TopologySnapshot, source, destination, max_hops: int) -> list:
+    """Score every loop-free path, sort by value (stable), keep path_cap."""
+    adjacency = topology._neighbor_lists()
+    found = []
+
+    def dfs(node, path):
+        if len(path) - 1 >= max_hops:
+            return
+        for nxt in adjacency.get(node, ()):
+            if nxt in path:
+                continue
+            if nxt == destination:
+                found.append(tuple(path + [nxt]))
+            else:
+                dfs(nxt, path + [nxt])
+
+    dfs(source, [source])
+    found.sort(key=lambda hops: tuple(repr(h) for h in hops))
+    cands = [build_path_candidate(topology, hops) for hops in found]
+    cands.sort(key=lambda c: -c.path_value)
+    return cands[: topology.path_cap]

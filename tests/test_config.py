@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -92,6 +93,14 @@ def test_loss_case_presets():
     stationary_bad = c2.p_good_to_bad / (c2.p_good_to_bad + c2.p_bad_to_good)
     assert stationary_bad == pytest.approx(0.3)
     assert c2.contender_multiplier == 2.0
+
+
+def test_loss_case_presets_are_immutable():
+    settings = default_config("case1").loss_settings
+    assert settings is LOSS_CASES["case1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        settings.p_drop = 1.0
+    assert LOSS_CASES["case1"].p_drop == pytest.approx(0.1)
 
 
 def test_traffic_validation():

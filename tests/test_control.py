@@ -145,6 +145,17 @@ def test_solve_dmpc_stationary_formation_zero_input():
     assert out.trajectory.states[0] == ego
 
 
+def test_solve_dmpc_first_input_is_first_planned_input():
+    # receding horizon: the applied input is the plan's first input itself
+    cfg = make_config()
+    ego = VehicleState(0.0, 0.0, 0.0, 15.0)
+    view = formation_view()
+    view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
+    for seed in range(3):
+        out = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(seed))
+        assert out.first_input is out.trajectory.inputs[0]
+
+
 def test_solve_dmpc_follower_accelerates_behind_faster_leader():
     cfg = make_config()
     ego = VehicleState(0.0, 0.0, 0.0, 15.0)

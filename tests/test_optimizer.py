@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from dynaroute import optimizer
 from dynaroute.channel import LinkSnapshot
 from dynaroute.control import PlatoonConfig, extrapolate_states
 from dynaroute.dynamics import VehicleState
@@ -19,6 +22,7 @@ from dynaroute.optimizer import (
     decode_schedule,
     dominates,
     evaluate,
+    evaluate_population,
     evolve,
     non_dominated_sort,
     reference_points,
@@ -144,8 +148,35 @@ def test_sort_matches_brute_force_oracle():
             for _ in range(64)
         ]
         fast = non_dominated_sort(pop)
+        ranks = [ind.rank for ind in pop]
         slow = brute_force_fronts(pop)
         assert [sorted(map(id, f)) for f in fast] == [sorted(map(id, f)) for f in slow]
+        # exact front order and ranks of the pairwise reference sort
+        for ind in pop:
+            ind.rank = -1
+        reference = oracles.non_dominated_sort(pop)
+        assert [list(map(id, f)) for f in fast] == [list(map(id, f)) for f in reference]
+        assert ranks == [ind.rank for ind in pop]
+
+
+def test_sort_matches_reference_order_with_ties_and_nan():
+    rng = np.random.default_rng(5)
+    for n in list(range(0, 6)) + [16, 32, 33, 64] * 20:
+        pop = [
+            make_individual(float(rng.integers(0, 4)), float(rng.integers(0, 4)),
+                            feasible=bool(rng.random() < 0.7))
+            for _ in range(n)
+        ]
+        for ind in pop:
+            if rng.random() < 0.05:
+                ind.objective_j = math.nan
+        fast = non_dominated_sort(pop)
+        ranks = [ind.rank for ind in pop]
+        for ind in pop:
+            ind.rank = -1
+        reference = oracles.non_dominated_sort(pop)
+        assert [list(map(id, f)) for f in fast] == [list(map(id, f)) for f in reference]
+        assert ranks == [ind.rank for ind in pop]
 
 
 def test_crowding_small_fronts_get_sentinel():
@@ -385,3 +416,128 @@ def test_evolve_finite_routing_space_matches_enumeration():
     front = evolve(ctx, params)
     front_best = max(i.objective_y for i in front)
     assert front_best == pytest.approx(best_y)
+
+
+def random_decode_context(rng) -> tuple:
+    """Random topology, packets and channel budget; the last node has no
+    links, so packets to or from it have no candidates."""
+    n = int(rng.integers(3, 7))
+    positions = {i: (float(rng.uniform(0, 250)), float(rng.choice([0.0, 6.0]))) for i in range(n)}
+    speeds = {i: float(rng.choice([15.0, 15.5, 16.0])) for i in range(n)}
+    links = {
+        (a, b): LinkSnapshot(
+            distance=50.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            delivery_prob=float(rng.choice([0.6, 0.8, 0.9])),
+        )
+        for a, b in itertools.permutations(range(n - 1), 2)
+        if rng.random() < 0.7
+    }
+    topo = TopologySnapshot(
+        positions=positions, speeds=speeds,
+        statuses={i: NodeStatus() for i in range(n)},
+        links=links, comm_range=300.0, path_cap=int(rng.integers(1, 7)),
+    )
+    start = int(rng.integers(0, 4))
+    end = start + int(rng.integers(1, 9))
+    ids = rng.permutation(12)
+    packets, candidates = [], []
+    for pid in ids[: int(rng.integers(0, 12))]:
+        src, dst = (int(x) for x in rng.choice(n, size=2, replace=False))
+        packets.append(
+            Packet(int(pid), start + int(rng.integers(-3, 4)), int(rng.integers(1, 7)), 1e5,
+                   src, dst)
+        )
+        cands = list(topo.candidate_paths(src, dst, int(rng.integers(1, 4))))
+        if cands and rng.random() < 0.3:
+            cands.append(cands[0])  # tied path values at two gene values
+        candidates.append(cands)
+    ctx = JointContext(
+        platoon=PlatoonConfig(horizon=2), problems=[], packets=packets,
+        candidates=candidates, n_channels=int(rng.integers(1, 4)),
+        schedule_start=start, schedule_end=end,
+    )
+    return ctx, topo
+
+
+def random_routing_genes(ctx, rng) -> np.ndarray:
+    # negative and out-of-range genes wrap modulo the candidate count
+    return np.array([int(rng.integers(-3, s + 3)) for s in ctx.routing_gene_sizes()], dtype=int)
+
+
+def test_decode_matches_reference_decode_exactly():
+    rng = np.random.default_rng(2025)
+    seen = {"no_candidates": 0, "early_arrival": 0, "cut_by_end": 0, "gene_wraps": 0,
+            "routed": 0, "unrouted": 0}
+    for _ in range(300):
+        ctx, topo = random_decode_context(rng)
+        population = []
+        for _ in range(8):
+            genes = random_routing_genes(ctx, rng)
+            decision = decode_schedule(ctx, genes)
+            reference = oracles.decode_schedule(ctx, genes)
+            assert list(decision.route_assign) == list(reference.route_assign)
+            assert all(
+                a is b
+                for a, b in zip(decision.route_assign.values(), reference.route_assign.values())
+            )
+            assert decision.channel_assign == reference.channel_assign
+            assert check_feasible(decision, ctx.packets, topo, ctx.n_channels)
+            population.append(
+                Individual(control_genes=np.zeros((0, 2, 2)), routing_genes=genes)
+            )
+            sizes = ctx.routing_gene_sizes()
+            seen["gene_wraps"] += any(g < 0 or g >= s for g, s in zip(genes, sizes))
+            seen["routed"] += len(decision.route_assign)
+            seen["unrouted"] += sum(1 for c in ctx.candidates if c) - len(decision.route_assign)
+        evaluate_population(population, ctx)
+        for ind in population:
+            expected = oracles.decode_schedule(ctx, ind.routing_genes).objective()
+            assert ind.objective_y == expected
+            assert type(ind.objective_y) is type(expected)
+        seen["no_candidates"] += sum(1 for c in ctx.candidates if not c)
+        seen["early_arrival"] += sum(p.arrival_slot < ctx.schedule_start for p in ctx.packets)
+        seen["cut_by_end"] += sum(p.last_slot >= ctx.schedule_end for p in ctx.packets)
+    assert min(seen.values()) > 50, seen
+
+
+def test_evolve_matches_reference_decode_and_sort(monkeypatch):
+    rng = np.random.default_rng(8)
+    contexts = [make_context(n_packets=3)[0]]
+    for _ in range(4):
+        ctx, _ = random_decode_context(rng)
+        ctx.platoon = contexts[0].platoon
+        ctx.problems = contexts[0].problems
+        contexts.append(ctx)
+
+    def summary(front, stats):
+        return (
+            [(i.genome_key(), i.objective_y, i.objective_j, i.feasible, i.rank, i.crowding)
+             for i in front],
+            stats,
+        )
+
+    runs = []
+    for ctx in contexts:
+        params = GaParams(population=8, generations=6, rng_seed=int(rng.integers(1 << 30)))
+        stats: dict = {}
+        front = evolve(ctx, params, stats)
+        champion = scalarize_select([i for i in front if i.feasible] or front)
+        decision = decode_schedule(ctx, champion.routing_genes)
+        runs.append((ctx, params, summary(front, stats), decision))
+
+    real_evaluate = optimizer.evaluate_population
+
+    def reference_evaluate(individuals, ctx):
+        real_evaluate(individuals, ctx)
+        for ind in individuals:
+            ind.objective_y = oracles.decode_schedule(ctx, ind.routing_genes).objective()
+
+    monkeypatch.setattr(optimizer, "evaluate_population", reference_evaluate)
+    monkeypatch.setattr(optimizer, "non_dominated_sort", oracles.non_dominated_sort)
+    for ctx, params, expected, decision in runs:
+        stats = {}
+        front = evolve(ctx, params, stats)
+        assert summary(front, stats) == expected
+        champion = scalarize_select([i for i in front if i.feasible] or front)
+        reference = oracles.decode_schedule(ctx, champion.routing_genes)
+        assert list(decision.route_assign.items()) == list(reference.route_assign.items())

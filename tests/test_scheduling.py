@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import oracles
 from dynaroute.channel import LinkSnapshot
 from dynaroute.link_metrics import NodeStatus
 from dynaroute.scheduling import (
@@ -227,3 +229,75 @@ def test_packet_validation():
         Packet(0, 0, 0, 1e5, 0, 1)
     with pytest.raises(ValueError):
         Packet(0, 0, 3, 0.0, 0, 1)
+
+
+def test_greedy_matches_reference_greedy_exactly():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        packets, topo, n_channels, horizon = _random_instance(rng)
+        if packets and rng.random() < 0.3:
+            # arrivals before slot 0 widen the start window downwards
+            p = packets[0]
+            packets[0] = Packet(p.id, -int(rng.integers(1, 3)), p.deadline_slots, p.size,
+                                p.source, p.destination)
+        out = solve_schedule_greedy(packets, topo, n_channels, horizon)
+        reference = oracles.solve_schedule_greedy(packets, topo, n_channels, horizon)
+        assert list(out.route_assign) == list(reference.route_assign)
+        assert all(
+            a is b for a, b in zip(out.route_assign.values(), reference.route_assign.values())
+        )
+        assert out.channel_assign == reference.channel_assign
+
+
+def random_scoring_topology(seed: int) -> TopologySnapshot:
+    """Vehicles and RSU-style ids (repr order differs from numeric order),
+    with repeated speeds and mirrored positions so that scores tie."""
+    rng = np.random.default_rng(seed)
+    nodes = [0, 1, 2, 3, 4, 1000, 1001][: int(rng.integers(3, 8))]
+    positions = {}
+    for n in nodes:
+        x = float(rng.choice([0.0, 40.0, 80.0, 120.0, float(rng.uniform(0, 200))]))
+        positions[n] = (x, float(rng.choice([0.0, 6.0, 10.0])))
+    if len(set(positions.values())) < len(positions):
+        positions = {n: (37.0 * k + float(rng.uniform(0, 1)), 0.0) for k, n in enumerate(nodes)}
+    speeds = {n: (0.0 if n >= 1000 else float(rng.choice([15.0, 15.0, 16.5]))) for n in nodes}
+    links = {
+        (a, b): LinkSnapshot(
+            distance=50.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            delivery_prob=float(rng.choice([0.5, 0.9])),
+        )
+        for a, b in itertools.permutations(nodes, 2)
+        if not (a >= 1000 and b >= 1000) and rng.random() < 0.8
+    }
+    statuses = {n: NodeStatus(queue_len=int(rng.integers(0, 7)), relayed_ok=1, relay_received=2)
+                for n in nodes}
+    return TopologySnapshot(
+        positions=positions, speeds=speeds, statuses=statuses, links=links,
+        comm_range=300.0, path_cap=int(rng.integers(1, 9)),
+        lifetime_horizon=float(rng.choice([2.0, math.inf])),
+    )
+
+
+def test_candidate_paths_match_reference_scoring_exactly():
+    compared = 0
+    for seed in range(60):
+        topo = random_scoring_topology(seed)
+        reference_topo = random_scoring_topology(seed)
+        for src, dst in itertools.permutations(sorted(topo.positions), 2):
+            for max_hops in (1, 2, 3):
+                kept = topo.candidate_paths(src, dst, max_hops)
+                assert kept == oracles.candidate_paths(reference_topo, src, dst, max_hops)
+                compared += len(kept)
+    assert compared > 1000
+
+
+def test_enumerate_paths_lexicographic_in_node_repr():
+    for seed in range(20):
+        topo = random_scoring_topology(seed)
+        reference_topo = random_scoring_topology(seed)
+        for src, dst in itertools.permutations(sorted(topo.positions), 2):
+            hops = [c.hops for c in enumerate_paths(topo, src, dst, 3)]
+            assert hops == sorted(hops, key=lambda h: tuple(repr(n) for n in h))
+            assert enumerate_paths(topo, src, dst, 3) == [
+                oracles.build_path_candidate(reference_topo, h) for h in hops
+            ]
