@@ -19,14 +19,19 @@ EXIT_COLLISION = 3
 
 
 def _load(config_path: str | None, loss_case: str | None):
+    """A config file, or the built-in preset of a loss case (never both)."""
     if config_path is None:
-        cfg = default_config(loss_case or "case1")
-    else:
-        cfg = load_config(config_path)
-        if loss_case is not None:
-            cfg = dataclasses.replace(cfg, loss_case=loss_case)
-            cfg.validate()
-    return cfg
+        return default_config(loss_case or "case1")
+    return load_config(config_path)
+
+
+def _add_config_source(parser) -> None:
+    # a config file carries its own loss case and comfort envelope, so a
+    # preset cannot be layered over it
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="scenario config JSON (defaults built in)")
+    source.add_argument("--loss-case", choices=("case1", "case2"), default=None,
+                        help="built-in preset of a loss case (default case1)")
 
 
 def _cmd_run(args) -> int:
@@ -120,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one scenario and export CSVs")
-    p_run.add_argument("--config", help="scenario config JSON (defaults built in)")
+    _add_config_source(p_run)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--mode", choices=("dynaroute", "baseline"), default="dynaroute")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--format", choices=("csv", "plotscript"), default="csv")
-    p_run.add_argument("--loss-case", choices=("case1", "case2"), default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep load or packet interval over both modes")
@@ -133,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--seeds", type=int, default=5, help="seeds per point")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    p_sweep.add_argument("--config", default=None)
-    p_sweep.add_argument("--loss-case", choices=("case1", "case2"), default=None)
+    _add_config_source(p_sweep)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 

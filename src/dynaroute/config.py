@@ -102,8 +102,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.n_platoons < 1 or self.vehicles_per_platoon < 1:
             raise ConfigError("need at least one platoon with at least one vehicle")
-        if self.n_platoons * self.vehicles_per_platoon < 1:
-            raise ConfigError("scenario needs vehicles")
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigError("dt and duration must be positive")
         slots = self.duration / self.dt

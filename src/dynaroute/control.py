@@ -1,9 +1,10 @@
 """Per-vehicle distributed MPC: stage cost, self-deviation constraint, lossy
-state propagation, a candidate-search solver and the packet-loss fallback.
+state propagation, the per-follower control problem and a candidate-search
+solver.
 
 The solver evaluates a candidate input set (shifted previous solution,
 deterministic safety candidates, seeded Gaussian perturbations) against box
-bounds, the discrete CBF condition, the velocity-cone condition and the
+bounds, the discrete CBF condition toward the predecessor and the
 self-deviation constraint, then picks the cheapest feasible candidate. All
 candidate math is vectorized over the candidate axis.
 """
@@ -18,7 +19,6 @@ import numpy as np
 
 from .dynamics import (
     ControlInput,
-    ManeuverMode,
     SafetyParams,
     VehicleState,
     clamp_input,
@@ -173,18 +173,11 @@ def predict_neighbor(
 
 @dataclass
 class SafetyContext:
-    """Obstacle predictions the feasibility check runs against.
-
-    predecessor: (T+1, 4) predicted states of the CBF partner, or None.
-    cone_partners: predicted states of vehicles checked with the velocity
-    cone (laterally separated traffic; the predecessor is governed by the
-    barrier function instead).
-    """
+    """Barrier partner of the feasibility check: (T+1, 4) predicted states
+    of the predecessor, or None."""
 
     params: SafetyParams
-    mode: ManeuverMode = ManeuverMode.FOLLOWING
     predecessor: np.ndarray | None = None
-    cone_partners: tuple = ()
 
 
 def extrapolate_states(state: VehicleState, horizon: int, dt: float) -> np.ndarray:
@@ -196,6 +189,49 @@ def extrapolate_states(state: VehicleState, horizon: int, dt: float) -> np.ndarr
     out[:, 2] = state.psi
     out[:, 3] = state.v
     return out
+
+
+@dataclass
+class ControlProblem:
+    """Per-follower ingredients of the control objective: the measured state,
+    the (T+1, 4) reference, (predicted states, formation offset) per
+    neighbor, and the barrier partner."""
+
+    current_state: VehicleState
+    reference: np.ndarray
+    neighbors: list
+    safety_ctx: SafetyContext | None = None
+
+
+def build_control_problem(
+    state: VehicleState,
+    view: NeighborView,
+    config: PlatoonConfig,
+    safety: SafetyParams | None = None,
+) -> ControlProblem:
+    """Predict every neighbor in view once over the horizon.
+
+    The reference is the anchor's prediction plus its offset, or the
+    vehicle's own extrapolation without an anchor. With safety given, the
+    barrier partner is the last non-anchor neighbor (the predecessor), or
+    the anchor when it is the only one.
+    """
+    t, dt = config.horizon, config.dt
+    neighbors = []
+    anchor = predecessor = None
+    for rec in view.records.values():
+        pred = predict_neighbor(rec, view, t, dt)
+        neighbors.append((pred, rec.offset))
+        if rec.is_reference_anchor:
+            anchor = (pred, rec.offset)
+        if not rec.is_reference_anchor or len(view.records) == 1:
+            predecessor = pred
+    if anchor is not None:
+        reference = anchor[0] + np.asarray(anchor[1], dtype=float)[None, :]
+    else:
+        reference = extrapolate_states(state, t, dt)
+    safety_ctx = None if safety is None else SafetyContext(safety, predecessor)
+    return ControlProblem(state, reference, neighbors, safety_ctx)
 
 
 def stage_cost(
@@ -293,42 +329,13 @@ def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
     return states
 
 
-def _h_series(
-    ego: np.ndarray, partner: np.ndarray, params: SafetyParams, mode: ManeuverMode
-) -> np.ndarray:
-    """Barrier values along predicted trajectories; ego (C, T+1, 4), partner (T+1, 4)."""
+def _h_series(ego: np.ndarray, partner: np.ndarray, params: SafetyParams) -> np.ndarray:
+    """Following-mode barrier values along predicted trajectories; ego
+    (C, T+1, 4), partner (T+1, 4)."""
     gap = np.hypot(
         partner[None, :, 0] - ego[:, :, 0], partner[None, :, 1] - ego[:, :, 1]
     )
-    base = (gap - params.l_w) ** 2
-    v = ego[:, :, 3]
-    if mode is ManeuverMode.BRAKING:
-        base = base + v * params.tau1 + v * v / (2.0 * params.a_max)
-    elif mode is ManeuverMode.LANE_CHANGE:
-        d2 = v * params.tau2 + 0.5 * params.a_max * params.tau2**2
-        d3 = ((v + params.a_max * params.tau3) ** 2 - v * v) / (2.0 * params.a_max)
-        base = base + d2 + d3
-    return base - (2.0 * params.w) ** 2
-
-
-def _cone_safe_mask(
-    ego: np.ndarray, partner: np.ndarray, d_min: float
-) -> np.ndarray:
-    """Velocity-cone safety per candidate against one partner trajectory."""
-    rx = partner[None, :, 0] - ego[:, :, 0]
-    ry = partner[None, :, 1] - ego[:, :, 1]
-    dist = np.hypot(rx, ry)
-    vx = ego[:, :, 3] * np.cos(ego[:, :, 2]) - partner[None, :, 3] * np.cos(partner[None, :, 2])
-    vy = ego[:, :, 3] * np.sin(ego[:, :, 2]) - partner[None, :, 3] * np.sin(partner[None, :, 2])
-    speed = np.hypot(vx, vy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = np.clip((vx * rx + vy * ry) / (speed * dist), -1.0, 1.0)
-        lam = np.arccos(cosang)
-        beta = np.arcsin(np.clip(d_min / dist, -1.0, 1.0))
-    no_approach = speed <= 1e-9
-    safe = np.where(no_approach, True, lam >= beta)
-    safe = np.where(dist < d_min, False, safe)
-    return safe.all(axis=1)
+    return (gap - params.l_w) ** 2 - (2.0 * params.w) ** 2
 
 
 def feasibility_mask(
@@ -338,7 +345,7 @@ def feasibility_mask(
     safety_ctx: SafetyContext | None,
     deviation_ctx: tuple | None,
 ) -> np.ndarray:
-    """Box bounds + CBF + velocity cone + self-deviation, per candidate.
+    """Box bounds + CBF + self-deviation, per candidate.
 
     deviation_ctx is (reference, budget): candidates whose gamma-scaled
     reference deviation over slots 1..T-1 exceeds the previous plan's budget
@@ -353,13 +360,10 @@ def feasibility_mask(
     ok &= (states[:, :, 3] <= config.v_max + 1e-9).all(axis=1)
     ok &= (states[:, :, 2] >= config.psi_min - 1e-9).all(axis=1)
     ok &= (states[:, :, 2] <= config.psi_max + 1e-9).all(axis=1)
-    if safety_ctx is not None:
-        params = safety_ctx.params
-        if safety_ctx.predecessor is not None:
-            h = _h_series(states, safety_ctx.predecessor, params, safety_ctx.mode)
-            ok &= (h[:, 1:] - h[:, :-1] >= -params.alpha * h[:, :-1] - 1e-9).all(axis=1)
-        for partner in safety_ctx.cone_partners:
-            ok &= _cone_safe_mask(states, partner, params.cone_radius)
+    if safety_ctx is not None and safety_ctx.predecessor is not None:
+        alpha = safety_ctx.params.alpha
+        h = _h_series(states, safety_ctx.predecessor, safety_ctx.params)
+        ok &= (h[:, 1:] - h[:, :-1] >= -alpha * h[:, :-1] - 1e-9).all(axis=1)
     if deviation_ctx is not None:
         reference, budget = deviation_ctx
         t = states.shape[1] - 1
@@ -426,14 +430,12 @@ def formation_feedback_input(
 
 
 def solve_dmpc(
-    current_state: VehicleState,
-    neighbor_view: NeighborView,
+    problem: ControlProblem,
     prev_solution: PredictedTrajectory | None,
-    safety_ctx: SafetyContext | None,
     config: PlatoonConfig,
     rng: np.random.Generator,
 ) -> DmpcSolution:
-    """Candidate-search receding-horizon solve.
+    """Candidate-search receding-horizon solve of one control problem.
 
     Candidates: shifted previous solution, zero input, max-brake,
     formation-feedback, and seeded Gaussian perturbations around the first
@@ -441,18 +443,7 @@ def solve_dmpc(
     the max-brake sequence is returned flagged as infeasible fallback.
     """
     t, dt = config.horizon, config.dt
-
-    anchor = None
-    neighbors = []
-    for rec in neighbor_view.records.values():
-        pred = predict_neighbor(rec, neighbor_view, t, dt)
-        neighbors.append((pred, rec.offset))
-        if rec.is_reference_anchor:
-            anchor = (pred, rec.offset)
-    if anchor is not None:
-        reference = anchor[0] + np.asarray(anchor[1], dtype=float)[None, :]
-    else:
-        reference = extrapolate_states(current_state, t, dt)
+    current_state, reference = problem.current_state, problem.reference
 
     base = np.zeros((t, INPUT_DIM))
     if prev_solution is not None:
@@ -482,8 +473,8 @@ def solve_dmpc(
     if prev_solution is not None:
         budget = reference_deviation_budget(prev_solution, reference, config)
         deviation_ctx = (reference, budget)
-    feasible = feasibility_mask(states, inputs, config, safety_ctx, deviation_ctx)
-    costs = trajectory_costs(states, inputs, reference, neighbors, config)
+    feasible = feasibility_mask(states, inputs, config, problem.safety_ctx, deviation_ctx)
+    costs = trajectory_costs(states, inputs, reference, problem.neighbors, config)
 
     if not feasible.any():
         idx = 2  # max-brake fallback
@@ -505,31 +496,3 @@ def solve_dmpc(
         cost=float(costs[idx]) if feasible.any() else math.inf,
         infeasible_fallback=fallback,
     )
-
-
-def loss_fallback_update(
-    prev_u: np.ndarray,
-    prev_x: np.ndarray,
-    neighbor_view: NeighborView,
-    config: PlatoonConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packet-loss fallback bookkeeping for the next slot.
-
-    Delivery failure holds the previous (u, x) pair exactly. On success the
-    consensus input sums the formation errors of the delivered neighbors and
-    the state follows the lossy affine update; the consensus vector's
-    (heading, speed) components act as the input when one is needed.
-    """
-    prev_u = np.asarray(prev_u, dtype=float)
-    prev_x = np.asarray(prev_x, dtype=float)
-    delivered = [rec for rec in neighbor_view.records.values() if rec.delivered]
-    if not delivered:
-        return prev_u.copy(), prev_x.copy()
-    u = np.zeros(STATE_DIM)
-    coupling = np.zeros(STATE_DIM)
-    for rec in delivered:
-        x_j = state_vector(rec.state)
-        u += x_j - prev_x + np.asarray(rec.offset, dtype=float)
-        coupling += x_j - prev_x
-    x_next = config.a_mat @ prev_x + config.f_mat @ u[2:4] + coupling
-    return u, x_next

@@ -33,17 +33,13 @@ from .control import (
     NeighborRecord,
     NeighborView,
     PredictedTrajectory,
-    SafetyContext,
+    build_control_problem,
     formation_feedback_input,
-    loss_fallback_update,
-    predict_neighbor,
     solve_dmpc,
-    state_vector,
 )
 from .dynamics import ManeuverMode, VehicleState, clamp_input, safety_function, step
 from .link_metrics import NodeStatus, PathCandidate
 from .optimizer import (
-    ControlProblem,
     GaParams,
     Individual,
     JointContext,
@@ -88,9 +84,6 @@ class VehicleAgent:
     solution: PredictedTrajectory | None = None
     held_inputs: list = field(default_factory=list)
     held_offset: int = 0
-    fallback_u: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    fallback_x: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    infeasible_fallback: bool = False
 
     @property
     def is_leader(self) -> bool:
@@ -126,14 +119,22 @@ class PacketState:
 
 @dataclass
 class World:
+    """The scenario layout plus the state the slot loop carries from one
+    slot to the next: packets in flight and the last GA champion."""
+
     config: ScenarioConfig
     vehicles: list
     rsus: list
     losses: dict
     relay_stats: dict
-
-    def vehicle(self, vid: int) -> VehicleAgent:
-        return self.vehicles[vid]
+    seed: int = 0
+    mode: str = "dynaroute"
+    followers: list = field(default_factory=list)
+    # vehicle id -> destinations its packets are drawn from
+    destinations: dict = field(default_factory=dict)
+    traffic_rng: np.random.Generator | None = None
+    pending: dict = field(default_factory=dict)
+    champion: Individual | None = None
 
     def node_position(self, node):
         if node >= RSU_ID_BASE:
@@ -211,6 +212,15 @@ def compute_e2e_delay(log: MetricsLog) -> float:
     return float(np.mean(delays)) if delays else math.nan
 
 
+def _link_pairs(nodes: list) -> list:
+    """Ordered node pairs that can carry a link or a beacon: all but the
+    RSU-to-RSU pairs, whose backhaul is not simulated."""
+    return [
+        (a, b) for a in nodes for b in nodes
+        if a != b and (a < RSU_ID_BASE or b < RSU_ID_BASE)
+    ]
+
+
 def build_scenario(config: ScenarioConfig, seed: int = 0) -> World:
     """Lay out the platoons and roadside units; deterministic given config."""
     config.validate()
@@ -231,20 +241,18 @@ def build_scenario(config: ScenarioConfig, seed: int = 0) -> World:
     loss = config.loss_settings
     losses = {}
     node_ids = [v.vid for v in vehicles] + [r.rid for r in rsus]
-    for a in node_ids:
-        for b in node_ids:
-            if a == b:
-                continue
-            link_seed = int(
-                np.random.SeedSequence((seed, 4, a, b)).generate_state(1)[0]
-            )
-            losses[(a, b)] = LossProcess(
-                kind=loss.kind,
-                p_drop=loss.p_drop,
-                p_good_to_bad=loss.p_good_to_bad,
-                p_bad_to_good=loss.p_bad_to_good,
-                rng_seed=link_seed,
-            )
+    for a, b in _link_pairs(node_ids):
+        # each link owns its generator, so the set of links moves no draw
+        link_seed = int(
+            np.random.SeedSequence((seed, 4, a, b)).generate_state(1)[0]
+        )
+        losses[(a, b)] = LossProcess(
+            kind=loss.kind,
+            p_drop=loss.p_drop,
+            p_good_to_bad=loss.p_good_to_bad,
+            p_bad_to_good=loss.p_bad_to_good,
+            rng_seed=link_seed,
+        )
 
     # followers track the platoon leader (reference anchor) and their
     # immediate predecessor; the initial formation is known at build time
@@ -266,11 +274,22 @@ def build_scenario(config: ScenarioConfig, seed: int = 0) -> World:
                 offset=np.array([-config.desired_gap, 0.0, 0.0, 0.0]),
             )
         agent.view = NeighborView(records=records)
-        agent.fallback_x = state_vector(agent.state)
+
+    # packets cross to the other platoon(s), or to any other vehicle when
+    # there is only one platoon
+    destinations = {}
+    for v in vehicles:
+        others = [w.vid for w in vehicles if w.platoon != v.platoon]
+        destinations[v.vid] = others or [w.vid for w in vehicles if w.vid != v.vid]
 
     relay_stats = {n: NodeStatus(queue_max=config.queue_max) for n in node_ids}
-    return World(config=config, vehicles=vehicles, rsus=rsus, losses=losses,
-                 relay_stats=relay_stats)
+    return World(
+        config=config, vehicles=vehicles, rsus=rsus, losses=losses,
+        relay_stats=relay_stats, seed=seed,
+        followers=[v for v in vehicles if not v.is_leader],
+        destinations=destinations,
+        traffic_rng=np.random.default_rng(np.random.SeedSequence((seed, 1))),
+    )
 
 
 def build_topology(world: World, pending: dict, slot: int) -> TopologySnapshot:
@@ -297,29 +316,26 @@ def build_topology(world: World, pending: dict, slot: int) -> TopologySnapshot:
         )
 
     links = {}
-    for a in nodes:
-        for b in nodes:
-            if a == b or (a >= RSU_ID_BASE and b >= RSU_ID_BASE):
-                continue
-            pa, pb = positions[a], positions[b]
-            planar = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-            if planar <= 0 or planar > config.comm_range:
-                continue
-            offset = params.l_v2i_0 if (a >= RSU_ID_BASE or b >= RSU_ID_BASE) else params.l0
-            pl = path_loss_los(planar, params)
-            snr = sinr_db(params.p_tx, pl, params.n_noise)
-            if snr < params.xi0:
-                continue
-            dist = relative_distance(pa, pb, offset)
-            links[(a, b)] = LinkSnapshot(
-                distance=dist,
-                path_loss=pl,
-                sinr=snr,
-                rate=shannon_rate(params.bandwidth, snr),
-                delivery_prob=slot_success_prob(
-                    config.traffic.size_bits, contenders, params, dist
-                ),
-            )
+    for a, b in _link_pairs(nodes):
+        pa, pb = positions[a], positions[b]
+        planar = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
+        if planar <= 0 or planar > config.comm_range:
+            continue
+        offset = params.l_v2i_0 if (a >= RSU_ID_BASE or b >= RSU_ID_BASE) else params.l0
+        pl = path_loss_los(planar, params)
+        snr = sinr_db(params.p_tx, pl, params.n_noise)
+        if snr < params.xi0:
+            continue
+        dist = relative_distance(pa, pb, offset)
+        links[(a, b)] = LinkSnapshot(
+            distance=dist,
+            path_loss=pl,
+            sinr=snr,
+            rate=shannon_rate(params.bandwidth, snr),
+            delivery_prob=slot_success_prob(
+                config.traffic.size_bits, contenders, params, dist
+            ),
+        )
     return TopologySnapshot(
         positions=positions, speeds=speeds, statuses=statuses, links=links,
         comm_range=config.comm_range, weights=config.metric_weights,
@@ -376,340 +392,332 @@ def _select_ga_packets(pending: dict, cap: int) -> list:
     return live[:cap]
 
 
-def _control_problem(
-    world: World, agent: VehicleAgent, config: ScenarioConfig
-) -> ControlProblem:
-    cfg = config.platoon
-    t = cfg.horizon
-    neighbors = []
-    anchor = None
-    predecessor_rec = None
-    for rec in agent.view.records.values():
-        pred = predict_neighbor(rec, agent.view, t, cfg.dt)
-        neighbors.append((pred, rec.offset))
-        if rec.is_reference_anchor:
-            anchor = (pred, rec.offset)
-        if not rec.is_reference_anchor or len(agent.view.records) == 1:
-            predecessor_rec = (rec, pred)
-    reference = anchor[0] + np.asarray(anchor[1])[None, :]
-    safety_ctx = SafetyContext(
-        params=config.safety,
-        mode=ManeuverMode.FOLLOWING,
-        predecessor=predecessor_rec[1] if predecessor_rec is not None else None,
-    )
-    return ControlProblem(
-        current_state=agent.state,
-        reference=reference,
-        neighbors=neighbors,
-        safety_ctx=safety_ctx,
-    )
-
-
 def run(config: ScenarioConfig | None = None, seed: int = 0, mode: str = "dynaroute") -> MetricsLog:
-    """Co-simulate one scenario; deterministic per (config, seed, mode)."""
+    """Co-simulate one scenario; deterministic per (config, seed, mode).
+
+    Each slot takes a topology snapshot, then runs the phases below in
+    order; a collision ends the run after the slot is recorded.
+    """
     if mode not in ("dynaroute", "baseline"):
         raise ValueError("mode must be 'dynaroute' or 'baseline'")
     if config is None:
         config = default_config()
-    config.validate()
     world = build_scenario(config, seed)
+    world.mode = mode
     log = MetricsLog(dt=config.dt, mode=mode, seed=seed)
-
-    traffic_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    pending: dict = {}
-    next_packet_id = 0
-    arrival_prob = min(1.0, config.traffic.load * config.dt / config.traffic.interval_s)
-
-    followers = [v for v in world.vehicles if not v.is_leader]
-    ga_champion: Individual | None = None
-    ga_routed: dict = {}
-
-    cross_destinations = {}
-    for v in world.vehicles:
-        others = [w.vid for w in world.vehicles if w.platoon != v.platoon]
-        cross_destinations[v.vid] = others if others else [
-            w.vid for w in world.vehicles if w.vid != v.vid
-        ]
-
     for k in range(config.n_slots):
-        t = k * config.dt
-        for agent in followers:
+        for agent in world.followers:
             agent.view.now = k
-
-        # ------------------------------------------------- (1) snapshot
-        topo = build_topology(world, pending, k)
-
-        # ------------------------------------------------- (2) controls
-        for agent in world.vehicles:
-            if agent.is_leader:
-                agent.applied = clamp_input(
-                    ControlInput(0.0, lead_acceleration(t)),
-                    config.platoon.r_max, config.platoon.a_max,
-                )
-
-        if mode == "dynaroute" and followers and k % config.ga_period == 0:
-            ga_packets = _select_ga_packets(pending, config.ga_packet_cap)
-            packets = []
-            candidates = []
-            for ps in ga_packets:
-                pkt = ps.packet
-                moved = Packet(
-                    id=pkt.id, arrival_slot=pkt.arrival_slot,
-                    deadline_slots=pkt.deadline_slots, size=pkt.size,
-                    source=ps.holder, destination=pkt.destination,
-                )
-                packets.append(moved)
-                candidates.append(
-                    topo.candidate_paths(moved.source, moved.destination, config.max_hops)
-                )
-            problems = [_control_problem(world, f, config) for f in followers]
-            feedback_seed = np.stack(
-                [
-                    np.tile(
-                        formation_feedback_input(f.state, prob.reference, config.platoon),
-                        (config.platoon.horizon, 1),
-                    )
-                    for f, prob in zip(followers, problems)
-                ]
-            )
-            seeds = [feedback_seed]
-            if ga_champion is not None:
-                shifted = np.concatenate(
-                    [ga_champion.control_genes[:, 1:, :], ga_champion.control_genes[:, -1:, :]],
-                    axis=1,
-                )
-                seeds.append(shifted)
-            ctx = JointContext(
-                platoon=config.platoon,
-                problems=problems,
-                packets=packets,
-                candidates=candidates,
-                n_channels=config.n_channels,
-                schedule_start=k,
-                schedule_end=k + config.traffic.deadline_slots,
-                seed_control=seeds,
-            )
-            ga_params = GaParams(
-                population=config.ga.population,
-                generations=config.ga.generations,
-                crossover_rate=config.ga.crossover_rate,
-                mutation_rate=config.ga.mutation_rate,
-                tournament_size=config.ga.tournament_size,
-                rng_seed=int(np.random.SeedSequence((seed, 3, k)).generate_state(1)[0]),
-                combined_crowding=config.ga.combined_crowding,
-                divisions=config.ga.divisions,
-            )
-            front = evolve(ctx, ga_params)
-            ga_champion = scalarize_select([i for i in front if i.feasible] or front)
-            decision = decode_schedule(ctx, ga_champion.routing_genes)
-            ga_routed = {pid: cand for (pid, _k0), cand in decision.route_assign.items()}
-            for ps in ga_packets:
-                cand = ga_routed.get(ps.packet.id)
-                if cand is not None and cand.hops[0] == ps.holder:
-                    ps.path = cand.hops
-                    ps.path_pos = 0
-                    ps.path_value = cand.path_value
-            for f_idx, agent in enumerate(followers):
-                agent.held_inputs = [
-                    clamp_input(
-                        ControlInput(float(r), float(a)),
-                        config.platoon.r_max, config.platoon.a_max,
-                    )
-                    for r, a in ga_champion.control_genes[f_idx]
-                ]
-                agent.held_offset = 0
-
-        for agent in followers:
-            fresh = agent.view.any_delivered()
-            if mode == "baseline":
-                if fresh or agent.solution is None:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((seed, 2, agent.vid, k))
-                    )
-                    sol = solve_dmpc(
-                        agent.state, agent.view, agent.solution,
-                        _control_problem(world, agent, config).safety_ctx,
-                        config.platoon, rng,
-                    )
-                    agent.solution = sol.trajectory
-                    agent.infeasible_fallback = sol.infeasible_fallback
-                    # receding horizon: only the first input is ever applied
-                    agent.applied = sol.first_input
-            else:
-                if agent.held_inputs and (fresh or k == 0):
-                    offset = min(agent.held_offset, len(agent.held_inputs) - 1)
-                    agent.applied = agent.held_inputs[offset]
-                agent.held_offset += 1
-
-        # ------------------------------------------------- (3) transmission
-        for key in sorted(world.losses):
-            markov_step(world.losses[key])
-
-        for agent in followers:
-            agent.view.mark_slot_start()
-            for nb_vid in sorted(agent.view.records):
-                prob = _beacon_prob(world, topo, nb_vid, agent.vid)
-                if sample_delivery(prob, world.losses[(nb_vid, agent.vid)]):
-                    agent.view.receive(nb_vid, world.vehicles[nb_vid].state, k)
-
-        for vehicle in world.vehicles:
-            if cross_destinations[vehicle.vid] and traffic_rng.random() < arrival_prob:
-                dst = int(traffic_rng.choice(cross_destinations[vehicle.vid]))
-                pkt = Packet(
-                    id=next_packet_id, arrival_slot=k,
-                    deadline_slots=config.traffic.deadline_slots,
-                    size=config.traffic.size_bits,
-                    source=vehicle.vid, destination=dst,
-                )
-                ps = PacketState(packet=pkt, holder=vehicle.vid)
-                pending[pkt.id] = ps
-                log.packets[pkt.id] = ps
-                next_packet_id += 1
-
-        # route assignment for packets without a usable path
-        for pid in sorted(pending):
-            ps = pending[pid]
-            if not ps.in_flight:
-                continue
-            link = ps.next_link()
-            if mode == "baseline":
-                cand = baseline_route(topo, ps.packet, holder=ps.holder)
-                if cand is None:
-                    ps.dropped = True
-                    continue
-                ps.path, ps.path_pos, ps.path_value = cand.hops, 0, cand.path_value
-            elif link is None or link not in topo.links:
-                cands = topo.candidate_paths(ps.holder, ps.packet.destination, config.max_hops)
-                if cands:
-                    ps.path, ps.path_pos = cands[0].hops, 0
-                    ps.path_value = cands[0].path_value
-                else:
-                    ps.path, ps.path_pos, ps.path_value = (), 0, 0.0
-
-        # channel grants, one link per slot, capacity-checked. The joint
-        # optimizer serves by path value (its schedule objective), letting
-        # hopeless requests expire; the baseline has no value concept and
-        # serves in arrival order.
-        requests = []
-        for pid in sorted(pending):
-            ps = pending[pid]
-            if not ps.in_flight:
-                continue
-            link = ps.next_link()
-            if link is None or link not in topo.links:
-                continue
-            snapshot = topo.links[link]
-            if ps.packet.size > snapshot.rate * config.channel.tau_slot:
-                continue
-            requests.append((ps.packet.last_slot, ps.path_value, pid, link, snapshot))
-        if mode == "dynaroute":
-            requests.sort(key=lambda r: (-r[1], r[0], r[2]))
-        else:
-            requests.sort(key=lambda r: r[2])
-
-        granted_links: set = set()
-        grants = []
-        for _last, _value, pid, link, snapshot in requests:
-            if len(grants) >= config.n_channels:
-                break
-            if link in granted_links:
-                continue
-            granted_links.add(link)
-            grants.append((pid, link, snapshot))
-
-        delivered_bits_by_source: dict = {}
-        for pid, link, snapshot in grants:
-            ps = pending[pid]
-            _src, dst = link
-            ok = sample_delivery(snapshot.delivery_prob, world.losses[link])
-            if ok:
-                if ps.holder != ps.packet.source:
-                    # the forwarding node just completed a relay task
-                    world.relay_stats[ps.holder].relayed_ok += 1
-                ps.holder = dst
-                ps.path_pos += 1
-                if dst == ps.packet.destination:
-                    ps.delivered_slot = k
-                    delivered_bits_by_source[ps.packet.source] = (
-                        delivered_bits_by_source.get(ps.packet.source, 0.0) + ps.packet.size
-                    )
-                else:
-                    world.relay_stats[dst].relay_received += 1
-
-        for pid in sorted(pending):
-            ps = pending[pid]
-            if ps.in_flight and k >= ps.packet.last_slot:
-                ps.dropped = True
-        pending = {pid: ps for pid, ps in pending.items() if ps.in_flight}
-
-        # ------------------------------------------------- (4) loss fallback
-        for agent in followers:
-            agent.fallback_u, agent.fallback_x = loss_fallback_update(
-                agent.fallback_u, agent.fallback_x, agent.view, config.platoon
-            )
-
-        # ------------------------------------------------- (5) dynamics
-        for agent in world.vehicles:
-            agent.applied = clamp_input(
-                agent.applied, config.platoon.r_max, config.platoon.a_max
-            )
-            nxt = step(agent.state, agent.applied, config.dt)
-            if nxt.v < config.platoon.v_min or nxt.v > config.platoon.v_max:
-                nxt = VehicleState(
-                    nxt.px, nxt.py, nxt.psi,
-                    min(max(nxt.v, config.platoon.v_min), config.platoon.v_max),
-                )
-            agent.state = nxt
-
-        # ------------------------------------------------- (6) record
-        collision = False
-        for agent in world.vehicles:
-            if agent.is_leader:
-                gap = math.nan
-            else:
-                # signed longitudinal separation to the predecessor
-                pred = world.vehicles[agent.vid - 1]
-                gap = pred.state.px - agent.state.px
-                if gap <= 0.0:
-                    collision = True
-                pair = (pred.vid, agent.vid)
-                h = safety_function(
-                    ManeuverMode.FOLLOWING,
-                    (agent.state.px, agent.state.py),
-                    (pred.state.px, pred.state.py),
-                    agent.state.v,
-                    config.safety,
-                )
-                log.h_series.setdefault(pair, []).append(h)
-                series = log.h_series[pair]
-                if len(series) >= 2:
-                    ok = series[-1] - series[-2] >= -config.safety.alpha * series[-2] - 1e-9
-                    log.cbf_ok_series.setdefault(pair, []).append(bool(ok))
-            leader = world.vehicles[agent.vid - agent.index]
-            ref_v = leader.state.v
-            ref_px = leader.state.px - agent.index * config.desired_gap
-            log.rows.append(
-                {
-                    "slot": k,
-                    "vehicle_id": agent.vid,
-                    "px": agent.state.px,
-                    "py": agent.state.py,
-                    "psi": agent.state.psi,
-                    "v": agent.state.v,
-                    "a": agent.applied.a,
-                    "gap_to_pred": gap,
-                    "delivered_bits": delivered_bits_by_source.get(agent.vid, 0.0),
-                    "track_v_ok": abs(agent.state.v - ref_v) <= config.err_v_bound,
-                    "track_p_ok": abs(agent.state.px - ref_px) <= config.err_p_bound,
-                }
-            )
-        log.slots_recorded = k + 1
-        if collision:
-            log.collision = True
-            log.halted_slot = k
+        topo = build_topology(world, world.pending, k)
+        if mode == "dynaroute" and world.followers and k % config.ga_period == 0:
+            _ga_step(world, topo, k)
+        _apply_controls(world, k)
+        _exchange_beacons(world, topo, k)
+        _inject_traffic(world, log, k)
+        _assign_routes(world, topo)
+        delivered = _transmit(world, _grant_channels(world, topo), k)
+        _expire(world, k)
+        _advance_dynamics(world)
+        _record(world, log, k, delivered)
+        if log.collision:
             break
-
     return log
+
+
+def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
+    """Joint GA over the earliest-deadline packets and the followers' input
+    sequences: route the packets on the champion's decoded schedule and
+    hold its inputs for the followers."""
+    config = world.config
+    ga_packets = _select_ga_packets(world.pending, config.ga_packet_cap)
+    packets = []
+    candidates = []
+    for ps in ga_packets:
+        pkt = ps.packet
+        moved = Packet(
+            id=pkt.id, arrival_slot=pkt.arrival_slot,
+            deadline_slots=pkt.deadline_slots, size=pkt.size,
+            source=ps.holder, destination=pkt.destination,
+        )
+        packets.append(moved)
+        candidates.append(
+            topo.candidate_paths(moved.source, moved.destination, config.max_hops)
+        )
+    problems = [
+        build_control_problem(f.state, f.view, config.platoon, config.safety)
+        for f in world.followers
+    ]
+    feedback_seed = np.stack(
+        [
+            np.tile(
+                formation_feedback_input(prob.current_state, prob.reference, config.platoon),
+                (config.platoon.horizon, 1),
+            )
+            for prob in problems
+        ]
+    )
+    seeds = [feedback_seed]
+    if world.champion is not None:
+        genes = world.champion.control_genes
+        seeds.append(np.concatenate([genes[:, 1:, :], genes[:, -1:, :]], axis=1))
+    ctx = JointContext(
+        platoon=config.platoon,
+        problems=problems,
+        packets=packets,
+        candidates=candidates,
+        n_channels=config.n_channels,
+        schedule_start=k,
+        schedule_end=k + config.traffic.deadline_slots,
+        seed_control=seeds,
+    )
+    ga_params = GaParams(
+        population=config.ga.population,
+        generations=config.ga.generations,
+        crossover_rate=config.ga.crossover_rate,
+        mutation_rate=config.ga.mutation_rate,
+        tournament_size=config.ga.tournament_size,
+        rng_seed=int(np.random.SeedSequence((world.seed, 3, k)).generate_state(1)[0]),
+        combined_crowding=config.ga.combined_crowding,
+        divisions=config.ga.divisions,
+    )
+    front = evolve(ctx, ga_params)
+    world.champion = champion = scalarize_select([i for i in front if i.feasible] or front)
+    decision = decode_schedule(ctx, champion.routing_genes)
+    routed = {pid: cand for (pid, _k0), cand in decision.route_assign.items()}
+    for ps in ga_packets:
+        cand = routed.get(ps.packet.id)
+        if cand is not None and cand.hops[0] == ps.holder:
+            ps.path = cand.hops
+            ps.path_pos = 0
+            ps.path_value = cand.path_value
+    for f_idx, agent in enumerate(world.followers):
+        agent.held_inputs = [
+            clamp_input(
+                ControlInput(float(r), float(a)),
+                config.platoon.r_max, config.platoon.a_max,
+            )
+            for r, a in champion.control_genes[f_idx]
+        ]
+        agent.held_offset = 0
+
+
+def _apply_controls(world: World, k: int) -> None:
+    """Leaders follow the scheduled profile. Baseline followers re-solve
+    their DMPC on fresh beacons and apply its first input (receding
+    horizon); dynaroute followers step through the GA's held inputs,
+    advancing only while beacons arrive."""
+    config = world.config
+    for agent in world.vehicles:
+        if agent.is_leader:
+            agent.applied = clamp_input(
+                ControlInput(0.0, lead_acceleration(k * config.dt)),
+                config.platoon.r_max, config.platoon.a_max,
+            )
+    for agent in world.followers:
+        fresh = agent.view.any_delivered()
+        if world.mode == "baseline":
+            if fresh or agent.solution is None:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((world.seed, 2, agent.vid, k))
+                )
+                problem = build_control_problem(
+                    agent.state, agent.view, config.platoon, config.safety
+                )
+                sol = solve_dmpc(problem, agent.solution, config.platoon, rng)
+                agent.solution = sol.trajectory
+                agent.applied = sol.first_input
+        else:
+            if agent.held_inputs and (fresh or k == 0):
+                offset = min(agent.held_offset, len(agent.held_inputs) - 1)
+                agent.applied = agent.held_inputs[offset]
+            agent.held_offset += 1
+
+
+def _exchange_beacons(world: World, topo: TopologySnapshot, k: int) -> None:
+    """Advance every link's loss chain one slot, then deliver each
+    follower's neighbor beacons over the snapshot's links."""
+    for key in sorted(world.losses):
+        markov_step(world.losses[key])
+    for agent in world.followers:
+        agent.view.mark_slot_start()
+        for nb_vid in sorted(agent.view.records):
+            prob = _beacon_prob(world, topo, nb_vid, agent.vid)
+            if sample_delivery(prob, world.losses[(nb_vid, agent.vid)]):
+                agent.view.receive(nb_vid, world.vehicles[nb_vid].state, k)
+
+
+def _inject_traffic(world: World, log: MetricsLog, k: int) -> None:
+    """Each vehicle starts a packet with the per-slot arrival probability."""
+    config = world.config
+    arrival_prob = min(1.0, config.traffic.load * config.dt / config.traffic.interval_s)
+    rng = world.traffic_rng
+    for vehicle in world.vehicles:
+        destinations = world.destinations[vehicle.vid]
+        if destinations and rng.random() < arrival_prob:
+            pkt = Packet(
+                id=len(log.packets), arrival_slot=k,
+                deadline_slots=config.traffic.deadline_slots,
+                size=config.traffic.size_bits,
+                source=vehicle.vid, destination=int(rng.choice(destinations)),
+            )
+            ps = PacketState(packet=pkt, holder=vehicle.vid)
+            world.pending[pkt.id] = ps
+            log.packets[pkt.id] = ps
+
+
+def _assign_routes(world: World, topo: TopologySnapshot) -> None:
+    """Baseline re-routes every packet greedily and drops it at a void;
+    dynaroute gives a packet whose next link is gone the best candidate
+    path from its holder."""
+    max_hops = world.config.max_hops
+    for pid in sorted(world.pending):
+        ps = world.pending[pid]
+        if not ps.in_flight:
+            continue
+        if world.mode == "baseline":
+            cand = baseline_route(topo, ps.packet, holder=ps.holder)
+            if cand is None:
+                ps.dropped = True
+            else:
+                ps.path, ps.path_pos, ps.path_value = cand.hops, 0, cand.path_value
+            continue
+        link = ps.next_link()
+        if link is None or link not in topo.links:
+            cands = topo.candidate_paths(ps.holder, ps.packet.destination, max_hops)
+            if cands:
+                ps.path, ps.path_pos, ps.path_value = cands[0].hops, 0, cands[0].path_value
+            else:
+                ps.path, ps.path_pos, ps.path_value = (), 0, 0.0
+
+
+def _grant_channels(world: World, topo: TopologySnapshot) -> list:
+    """(packet id, link, link snapshot) per granted request: at most
+    n_channels grants and one per link. The joint optimizer serves by path
+    value (its schedule objective), letting hopeless requests expire; the
+    baseline has no value concept and serves in arrival order."""
+    config = world.config
+    requests = []
+    for pid in sorted(world.pending):
+        ps = world.pending[pid]
+        if not ps.in_flight:
+            continue
+        link = ps.next_link()
+        if link is None or link not in topo.links:
+            continue
+        snapshot = topo.links[link]
+        if ps.packet.size > snapshot.rate * config.channel.tau_slot:
+            continue
+        requests.append((ps.packet.last_slot, ps.path_value, pid, link, snapshot))
+    if world.mode == "dynaroute":
+        requests.sort(key=lambda r: (-r[1], r[0], r[2]))
+    else:
+        requests.sort(key=lambda r: r[2])
+
+    granted_links: set = set()
+    grants = []
+    for _last, _value, pid, link, snapshot in requests:
+        if len(grants) >= config.n_channels:
+            break
+        if link in granted_links:
+            continue
+        granted_links.add(link)
+        grants.append((pid, link, snapshot))
+    return grants
+
+
+def _transmit(world: World, grants: list, k: int) -> dict:
+    """Sample each granted hop; returns the bits delivered this slot per
+    packet source."""
+    delivered_bits_by_source: dict = {}
+    for pid, link, snapshot in grants:
+        ps = world.pending[pid]
+        dst = link[1]
+        if not sample_delivery(snapshot.delivery_prob, world.losses[link]):
+            continue
+        if ps.holder != ps.packet.source:
+            # the forwarding node just completed a relay task
+            world.relay_stats[ps.holder].relayed_ok += 1
+        ps.holder = dst
+        ps.path_pos += 1
+        if dst == ps.packet.destination:
+            ps.delivered_slot = k
+            delivered_bits_by_source[ps.packet.source] = (
+                delivered_bits_by_source.get(ps.packet.source, 0.0) + ps.packet.size
+            )
+        else:
+            world.relay_stats[dst].relay_received += 1
+    return delivered_bits_by_source
+
+
+def _expire(world: World, k: int) -> None:
+    """Drop packets whose deadline slot has come and keep the rest pending."""
+    for ps in world.pending.values():
+        if ps.in_flight and k >= ps.packet.last_slot:
+            ps.dropped = True
+    world.pending = {pid: ps for pid, ps in world.pending.items() if ps.in_flight}
+
+
+def _advance_dynamics(world: World) -> None:
+    config = world.config.platoon
+    for agent in world.vehicles:
+        agent.applied = clamp_input(agent.applied, config.r_max, config.a_max)
+        nxt = step(agent.state, agent.applied, world.config.dt)
+        if nxt.v < config.v_min or nxt.v > config.v_max:
+            nxt = VehicleState(
+                nxt.px, nxt.py, nxt.psi, min(max(nxt.v, config.v_min), config.v_max)
+            )
+        agent.state = nxt
+
+
+def _record(world: World, log: MetricsLog, k: int, delivered_bits_by_source: dict) -> None:
+    """Append one trace row per vehicle and the follower barrier series;
+    flag the run as halted when a follower reached its predecessor."""
+    config = world.config
+    collision = False
+    for agent in world.vehicles:
+        if agent.is_leader:
+            gap = math.nan
+        else:
+            # signed longitudinal separation to the predecessor
+            pred = world.vehicles[agent.vid - 1]
+            gap = pred.state.px - agent.state.px
+            if gap <= 0.0:
+                collision = True
+            pair = (pred.vid, agent.vid)
+            h = safety_function(
+                ManeuverMode.FOLLOWING,
+                (agent.state.px, agent.state.py),
+                (pred.state.px, pred.state.py),
+                agent.state.v,
+                config.safety,
+            )
+            series = log.h_series.setdefault(pair, [])
+            series.append(h)
+            if len(series) >= 2:
+                ok = series[-1] - series[-2] >= -config.safety.alpha * series[-2] - 1e-9
+                log.cbf_ok_series.setdefault(pair, []).append(bool(ok))
+        leader = world.vehicles[agent.vid - agent.index]
+        ref_v = leader.state.v
+        ref_px = leader.state.px - agent.index * config.desired_gap
+        log.rows.append(
+            {
+                "slot": k,
+                "vehicle_id": agent.vid,
+                "px": agent.state.px,
+                "py": agent.state.py,
+                "psi": agent.state.psi,
+                "v": agent.state.v,
+                "a": agent.applied.a,
+                "gap_to_pred": gap,
+                "delivered_bits": delivered_bits_by_source.get(agent.vid, 0.0),
+                "track_v_ok": abs(agent.state.v - ref_v) <= config.err_v_bound,
+                "track_p_ok": abs(agent.state.px - ref_px) <= config.err_p_bound,
+            }
+        )
+    log.slots_recorded = k + 1
+    if collision:
+        log.collision = True
+        log.halted_slot = k
 
 
 # ------------------------------------------------------------------ export

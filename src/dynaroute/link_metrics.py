@@ -1,9 +1,5 @@
-"""Node- and link-level transmission metrics and the composite path value
-used to rank candidate routes.
-
-Per-hop values combine by product: the delivery probabilities multiply along
-a path and the dimensionless factors act as discounts. The aggregation is
-isolated in aggregate_hop_values so alternates are one-line swaps.
+"""Node- and link-level transmission metrics and the hop-value aggregation
+behind the path score that ranks candidate routes (scheduling.path_score).
 """
 
 from __future__ import annotations
@@ -15,9 +11,6 @@ from typing import Sequence
 # Link-lifetime cap and the relative-speed floor below which it applies.
 SD_CAP = 1000.0
 SPEED_EPS = 1e-3
-
-# Floor for the path speed dispersion (all-equal speeds).
-SIGMA_EPS = 1e-3
 
 
 @dataclass
@@ -45,16 +38,9 @@ class MetricWeights:
 
 @dataclass
 class PathCandidate:
-    """Ordered relay sequence with its per-hop metrics and composite value.
-
-    per_hop holds one (staying_time, direction_ratio, delivery_prob) triple
-    per hop, aligned with node_weights (the weight of each receiving node).
-    """
+    """Ordered relay sequence with its path score."""
 
     hops: tuple
-    per_hop: tuple
-    node_weights: tuple
-    sigma_v: float
     path_value: float
 
     def __post_init__(self):
@@ -62,12 +48,6 @@ class PathCandidate:
             raise ValueError(f"hops must be >= 2 distinct nodes, got {self.hops}")
         if self.path_value < 0:
             raise ValueError("path_value must be nonnegative")
-
-    @property
-    def delivery_prob(self) -> float:
-        from .channel import multi_slot_success_prob
-
-        return multi_slot_success_prob(p for _, _, p in self.per_hop)
 
 
 def vehicle_status(q: int, q_max: int) -> int:
@@ -105,31 +85,14 @@ def staying_time(r_v: float, delta_p: float, v_i: float, v_j: float) -> float:
     return min((r_v - delta_p) / dv, SD_CAP)
 
 
-def direction_ratio(
-    p_j: Sequence[float], p_s: Sequence[float], p_z: Sequence[float]
-) -> float:
-    """Remaining-distance ratio |z - j| / |z - s|; smaller means the relay
-    is closer to the destination."""
-    denom = math.hypot(p_z[0] - p_s[0], p_z[1] - p_s[1])
-    if denom == 0.0:
-        raise ValueError("source and destination coincide")
-    return math.hypot(p_z[0] - p_j[0], p_z[1] - p_j[1]) / denom
-
-
-def direction_progress(ratio: float) -> float:
-    """Larger-is-better progress score derived from the remaining-distance
-    ratio; relays beyond the source score 0."""
-    return 1.0 - min(max(ratio, 0.0), 1.0)
-
-
 def hop_alignment(
     p_u: Sequence[float], p_w: Sequence[float], p_z: Sequence[float]
 ) -> float:
     """How much of the hop u->w is spent moving toward the destination z.
 
     1 for a hop straight at the destination, 0 for sideways or backward
-    relays; unlike the end-to-end progress ratio this does not punish short
-    hops, which is what "matching movement direction" needs.
+    relays; unlike an end-to-end remaining-distance ratio this does not
+    punish short hops, which is what "matching movement direction" needs.
     """
     hop_len = math.hypot(p_w[0] - p_u[0], p_w[1] - p_u[1])
     if hop_len == 0.0:
@@ -165,19 +128,6 @@ def node_weight(
     )
 
 
-def hop_value(
-    staying: float,
-    weight: float,
-    d_ratio: float,
-    sigma_v: float,
-    delivery_prob: float,
-) -> float:
-    """Single-hop route value: lifetime x node weight x direction progress,
-    discounted by speed dispersion and delivery probability."""
-    sigma = max(sigma_v, SIGMA_EPS)
-    return staying * weight * direction_progress(d_ratio) / sigma * delivery_prob
-
-
 def aggregate_hop_values(values: Sequence[float]) -> float:
     """Combine per-hop values along a path (product aggregation)."""
     total = 1.0
@@ -200,29 +150,3 @@ def normalized_hop_aggregate(values: Sequence[float]) -> float:
     if total <= 0:
         return 0.0
     return total ** (1.0 / len(values))
-
-
-def path_value(
-    hop_metrics: Sequence[tuple],
-    node_weights: Sequence[float],
-    sigma_v: float,
-    delivery_probs: Sequence[float],
-) -> float:
-    """Composite value of a full path.
-
-    hop_metrics holds (staying_time, direction_ratio) per hop, aligned with
-    node_weights and delivery_probs.
-    """
-    if not (len(hop_metrics) == len(node_weights) == len(delivery_probs)):
-        raise ValueError("per-hop sequences must have equal length")
-    if sigma_v < 0:
-        raise ValueError("sigma_v must be nonnegative")
-    if any(not 0.0 <= p <= 1.0 for p in delivery_probs):
-        raise ValueError("delivery probabilities must lie in [0, 1]")
-    if not hop_metrics:
-        return 0.0
-    values = [
-        hop_value(sd, w, d, sigma_v, p)
-        for (sd, d), w, p in zip(hop_metrics, node_weights, delivery_probs)
-    ]
-    return aggregate_hop_values(values)

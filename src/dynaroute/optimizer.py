@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import (
-    PlatoonConfig,
-    SafetyContext,
-    feasibility_mask,
-    rollout_candidates,
-    trajectory_costs,
-)
-from .dynamics import VehicleState
+from .control import PlatoonConfig, feasibility_mask, rollout_candidates, trajectory_costs
 from .scheduling import ScheduleDecision, fit_deadline_order, slot_options
 
 BOUNDARY_SENTINEL = sys.float_info.max
@@ -88,19 +81,10 @@ class ReferencePointSet:
 
 
 @dataclass
-class ControlProblem:
-    """Per-vehicle ingredients of the control objective."""
-
-    current_state: VehicleState
-    reference: np.ndarray
-    neighbors: list
-    safety_ctx: SafetyContext | None = None
-
-
-@dataclass
 class JointContext:
-    """Evaluation snapshot: follower control problems plus the pending packet
-    set with pre-scored candidate paths and the channel budget."""
+    """Evaluation snapshot: follower control problems (control.ControlProblem)
+    plus the pending packet set with pre-scored candidate paths and the
+    channel budget."""
 
     platoon: PlatoonConfig
     problems: list
@@ -212,12 +196,6 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
         ind.objective_j = float(costs[i])
         ind.feasible = bool(feasible[i])
         ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
-
-
-def evaluate(individual: Individual, ctx: JointContext) -> tuple:
-    """Score one genome: schedule value, control cost and feasibility."""
-    evaluate_population([individual], ctx)
-    return individual.objective_y, individual.objective_j, individual.feasible
 
 
 def dominates(a: Individual, b: Individual) -> bool:

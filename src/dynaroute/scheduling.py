@@ -20,7 +20,6 @@ from .link_metrics import (
     MetricWeights,
     NodeStatus,
     PathCandidate,
-    direction_ratio,
     hop_alignment,
     neighbor_transmit_count,
     node_weight,
@@ -176,8 +175,7 @@ def _score(factors: list, sigma: float) -> float:
 
 
 def path_score(topology: TopologySnapshot, hops: Sequence) -> float:
-    """Ranking value of one relay sequence; equals the path_value of
-    build_path_candidate(topology, hops)."""
+    """Ranking value of one relay sequence, the only path score."""
     dst = hops[-1]
     cache = topology._hop_cache
     factors = [
@@ -190,31 +188,8 @@ def path_score(topology: TopologySnapshot, hops: Sequence) -> float:
 def build_path_candidate(
     topology: TopologySnapshot, hops: Sequence
 ) -> PathCandidate:
-    """Score one relay sequence with the mobility-aware per-hop metrics.
-
-    The stored path_value is the hop-count-normalized score of path_score,
-    so scores stay comparable across path lengths when ranking and
-    scheduling.
-    """
-    positions = topology.positions
-    src, dst = hops[0], hops[-1]
-    factors = []
-    per_hop = []
-    node_weights = []
-    for u, w in zip(hops[:-1], hops[1:]):
-        sd, prob, weight, numerator = topology.hop_factors(u, w, dst)
-        ratio = direction_ratio(positions[w], positions[src], positions[dst])
-        factors.append((sd, prob, weight, numerator))
-        per_hop.append((sd, ratio, prob))
-        node_weights.append(weight)
-    sigma = velocity_variance([topology.speeds.get(n, 0.0) for n in hops])
-    return PathCandidate(
-        hops=tuple(hops),
-        per_hop=tuple(per_hop),
-        node_weights=tuple(node_weights),
-        sigma_v=sigma,
-        path_value=_score(factors, sigma),
-    )
+    """One relay sequence with its path_score as the path value."""
+    return PathCandidate(tuple(hops), path_score(topology, hops))
 
 
 def _loop_free_hops(

@@ -10,7 +10,6 @@ import math
 
 from dynaroute.link_metrics import (
     PathCandidate,
-    direction_ratio,
     hop_alignment,
     normalized_hop_aggregate,
     staying_time,
@@ -149,10 +148,8 @@ def solve_schedule_greedy(
 
 def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
     """Score one relay sequence hop by hop from the link metrics."""
-    src, dst = hops[0], hops[-1]
+    dst = hops[-1]
     sigma = velocity_variance([topology.speeds.get(n, 0.0) for n in hops])
-    per_hop = []
-    node_weights = []
     mobility = []
     success = 1.0
     for u, w in zip(hops[:-1], hops[1:]):
@@ -165,22 +162,13 @@ def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
             topology.speeds.get(u, 0.0),
             topology.speeds.get(w, 0.0),
         )
-        ratio = direction_ratio(pw, topology.positions[src], topology.positions[dst])
         weight = topology.node_weight_of(w)
         align = hop_alignment(pu, pw, topology.positions[dst])
         sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
-        per_hop.append((sd, ratio, link.delivery_prob))
-        node_weights.append(weight)
         mobility.append(min(sd, topology.lifetime_horizon) * weight * align / sigma_eff)
         success *= link.delivery_prob
     score = normalized_hop_aggregate(mobility) * success / len(mobility)
-    return PathCandidate(
-        hops=tuple(hops),
-        per_hop=tuple(per_hop),
-        node_weights=tuple(node_weights),
-        sigma_v=sigma,
-        path_value=score,
-    )
+    return PathCandidate(hops=tuple(hops), path_value=score)
 
 
 def candidate_paths(topology: TopologySnapshot, source, destination, max_hops: int) -> list:

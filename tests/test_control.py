@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dynaroute.control as control_mod
 from dynaroute.control import (
+    ControlProblem,
     NeighborRecord,
     NeighborView,
     PlatoonConfig,
     PredictedTrajectory,
     SafetyContext,
+    build_control_problem,
     default_a_mat,
     extrapolate_states,
-    loss_fallback_update,
+    predict_neighbor,
     propagate_state,
     self_deviation_ok,
     solve_dmpc,
@@ -134,11 +137,72 @@ def test_extrapolate_states_constant_velocity():
     assert np.allclose(out[:, 3], 10.0)
 
 
+def solve(ego, view, cfg, seed):
+    problem = build_control_problem(ego, view, cfg)
+    return solve_dmpc(problem, None, cfg, np.random.default_rng(seed))
+
+
+def test_build_control_problem_reference_and_predecessor():
+    cfg = make_config()
+    params = SafetyParams()
+    ego = VehicleState(0.0, 0.0, 0.0, 15.0)
+    view = formation_view()
+    view.now = 2  # both records are two slots stale
+    problem = build_control_problem(ego, view, cfg, params)
+    leader = predict_neighbor(view.records[0], view, cfg.horizon, cfg.dt)
+    pred = predict_neighbor(view.records[1], view, cfg.horizon, cfg.dt)
+    assert problem.current_state is ego
+    assert np.array_equal(problem.reference, leader + view.records[0].offset[None, :])
+    (leader_pred, leader_off), (pred_pred, pred_off) = problem.neighbors
+    assert np.array_equal(leader_pred, leader) and np.array_equal(pred_pred, pred)
+    assert leader_off is view.records[0].offset and pred_off is view.records[1].offset
+    # the barrier partner is the predecessor, not the anchor
+    assert problem.safety_ctx.params is params
+    assert np.array_equal(problem.safety_ctx.predecessor, pred)
+    assert build_control_problem(ego, view, cfg).safety_ctx is None
+
+
+def test_build_control_problem_anchor_only_and_no_anchor():
+    cfg = make_config()
+    ego = VehicleState(0.0, 0.0, 0.0, 15.0)
+    # first follower: the leader is both the anchor and the barrier partner
+    view = formation_view()
+    del view.records[1]
+    problem = build_control_problem(ego, view, cfg, SafetyParams())
+    assert np.array_equal(problem.safety_ctx.predecessor, problem.neighbors[0][0])
+    # no anchor: the reference is the vehicle's own extrapolation
+    view = formation_view()
+    del view.records[0]
+    problem = build_control_problem(ego, view, cfg, SafetyParams())
+    assert np.array_equal(problem.reference, extrapolate_states(ego, cfg.horizon, cfg.dt))
+    assert np.array_equal(problem.safety_ctx.predecessor, problem.neighbors[0][0])
+    empty = build_control_problem(ego, NeighborView(), cfg, SafetyParams())
+    assert empty.neighbors == [] and empty.safety_ctx.predecessor is None
+
+
+def test_solve_dmpc_predicts_no_neighbor_itself(monkeypatch):
+    # every neighbor is predicted once, by build_control_problem
+    cfg = make_config()
+    ego = VehicleState(0.0, 0.0, 0.0, 15.0)
+    view = formation_view()
+    view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
+    problem = build_control_problem(ego, view, cfg, SafetyParams())
+    expected = solve_dmpc(problem, None, cfg, np.random.default_rng(5))
+
+    def forbidden(*args):
+        raise AssertionError("solve_dmpc predicted a neighbor")
+
+    monkeypatch.setattr(control_mod, "predict_neighbor", forbidden)
+    monkeypatch.setattr(control_mod, "extrapolate_states", forbidden)
+    out = solve_dmpc(problem, None, cfg, np.random.default_rng(5))
+    assert out.trajectory == expected.trajectory and out.cost == expected.cost
+
+
 def test_solve_dmpc_stationary_formation_zero_input():
     cfg = make_config()
     ego = VehicleState(0.0, 0.0, 0.0, 15.0)
     view = formation_view()
-    out = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(0))
+    out = solve(ego, view, cfg, 0)
     assert not out.infeasible_fallback
     assert out.first_input == ControlInput(0.0, 0.0)
     assert out.cost == pytest.approx(0.0, abs=1e-9)
@@ -152,7 +216,7 @@ def test_solve_dmpc_first_input_is_first_planned_input():
     view = formation_view()
     view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
     for seed in range(3):
-        out = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(seed))
+        out = solve(ego, view, cfg, seed)
         assert out.first_input is out.trajectory.inputs[0]
 
 
@@ -163,7 +227,7 @@ def test_solve_dmpc_follower_accelerates_behind_faster_leader():
     # leader pulled ahead and speeding up: reference demands catching up
     view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
     view.records[1].state = VehicleState(12.0, 0.0, 0.0, 16.0)
-    out = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(1))
+    out = solve(ego, view, cfg, 1)
     assert not out.infeasible_fallback
     assert out.first_input.a > 0.0
 
@@ -175,9 +239,13 @@ def test_solve_dmpc_cbf_forces_fallback():
     # predecessor essentially on top of the ego and decelerating hard:
     # every candidate loses barrier value
     predecessor = extrapolate_states(VehicleState(2.0, 0.0, 0.0, 0.0), cfg.horizon, cfg.dt)
-    ctx = SafetyContext(params=params, predecessor=predecessor)
-    view = NeighborView(records={})
-    out = solve_dmpc(ego, view, None, ctx, cfg, np.random.default_rng(2))
+    problem = ControlProblem(
+        current_state=ego,
+        reference=extrapolate_states(ego, cfg.horizon, cfg.dt),
+        neighbors=[],
+        safety_ctx=SafetyContext(params=params, predecessor=predecessor),
+    )
+    out = solve_dmpc(problem, None, cfg, np.random.default_rng(2))
     assert out.infeasible_fallback
     assert out.first_input.a == pytest.approx(-cfg.comfort_a)
 
@@ -187,8 +255,8 @@ def test_solve_dmpc_deterministic_given_seed():
     ego = VehicleState(0.0, 0.0, 0.0, 15.0)
     view = formation_view()
     view.records[0].state = VehicleState(25.0, 0.0, 0.0, 16.5)
-    a = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(42))
-    b = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(42))
+    a = solve(ego, view, cfg, 42)
+    b = solve(ego, view, cfg, 42)
     assert a.trajectory == b.trajectory
     assert a.cost == b.cost
 
@@ -198,39 +266,10 @@ def test_solve_dmpc_respects_comfort_bounds():
     ego = VehicleState(0.0, 0.0, 0.0, 15.0)
     view = formation_view()
     view.records[0].state = VehicleState(80.0, 0.0, 0.0, 25.0)
-    out = solve_dmpc(ego, view, None, None, cfg, np.random.default_rng(3))
+    out = solve(ego, view, cfg, 3)
     for inp in out.trajectory.inputs:
         assert abs(inp.a) <= cfg.comfort_a + 1e-12
         assert abs(inp.r) <= cfg.comfort_r + 1e-12
-
-
-def test_loss_fallback_holds_on_failure():
-    cfg = make_config()
-    u0 = np.array([0.5, 0.0, 0.0, 0.2])
-    x0 = np.array([1.0, 0.0, 0.0, 15.0])
-    view = formation_view()
-    view.mark_slot_start()
-    u, x = loss_fallback_update(u0, x0, view, cfg)
-    assert np.array_equal(u, u0) and np.array_equal(x, x0)
-
-
-def test_loss_fallback_success_branch():
-    cfg = make_config()
-    x0 = np.array([0.0, 0.0, 0.0, 15.0])
-    view = NeighborView(
-        records={
-            1: NeighborRecord(
-                state=VehicleState(10.0, 0.0, 0.0, 15.0), slot=1, delivered=True,
-                offset=np.array([-10.0, 0.0, 0.0, 0.0]),
-            )
-        }
-    )
-    u, x = loss_fallback_update(np.zeros(4), x0, view, cfg)
-    assert np.allclose(u, 0.0)  # formation satisfied
-
-    view.records[1].state = VehicleState(11.0, 0.0, 0.0, 15.0)
-    u, _ = loss_fallback_update(np.zeros(4), x0, view, cfg)
-    assert np.allclose(u, [1.0, 0.0, 0.0, 0.0])  # gap error appears verbatim
 
 
 def test_neighbor_view_receive_and_reset():

@@ -1,35 +1,54 @@
 """Byte-identity of the CSV exports for a fixed (config, seed, mode) matrix.
 
 The pinned sha256 values guard refactors and performance work: any change
-that moves a single byte of trace.csv, packets.csv or summary.csv fails
-here. To update them for an intended behaviour change, run
+that moves a single byte of trace.csv, packets.csv or summary.csv, or a
+single bit of the per-pair barrier series (MetricsLog.h_series and
+cbf_ok_series, which no CSV holds), fails here. The CSV runs simulate 3 s;
+the barrier series runs simulate 22 s, because the leaders first accelerate
+at 3.5 s (until then every h is the same constant) and the braking phases
+up to 21 s are where the CBF condition binds. To update the hashes for an
+intended behaviour change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the current table, paste it over GOLDEN below, and record the
-update and its reason in CHANGES.md.
+which prints the current tables, paste them over GOLDEN and SERIES below,
+and record the update and its reason in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 
 import pytest
 
 from dynaroute.config import default_config
-from dynaroute.harness import export, run
+from dynaroute.harness import MetricsLog, export, run
 
 FILES = ("trace.csv", "packets.csv", "summary.csv")
+CSV_DURATION = 3.0
+SERIES_DURATION = 22.0
 
-# name -> (loss case, mode, packet load or None for the default); every run
-# simulates 3 s
+# name -> (loss case, mode, packet load or None for the default)
 CASES = {
+    "case1-baseline": ("case1", "baseline", None),
     "case1-dynaroute": ("case1", "dynaroute", 2.0),
     "case2-baseline": ("case2", "baseline", None),
+    "case2-dynaroute": ("case2", "dynaroute", 2.0),
 }
 # (name, seed) -> sha256 of FILES
 GOLDEN = {
+    ("case1-baseline", 0): (
+        "adf35d5781d06aadac0bdc651a47fee314d19a20f249f48f866ff66e07c7caab",
+        "d9a1cd35476f1be455354921d5344bc6b5c607e719c2170cd2f342bb01cdf603",
+        "3102917b549265d498cd3efcc6384f17f35dda5f55b9c0b2b809924343cc4482",
+    ),
+    ("case1-baseline", 1): (
+        "a70d5655ee0a424bd950aed0a4ecbe92d95db7ac559624828b0c4ab6d5b54891",
+        "3446aa7cac8ec669d845330be09671ec5b07aa5968a7d7beaca4fcf8d3b89dd8",
+        "4ba5f22301ff2624ca0139bfb54c16a5eec0f1c04127592ad7680e9b617e3825",
+    ),
     ("case1-dynaroute", 0): (
         "afd48296a18501e0d72f9e6615ab60a2b3f17a41e12c72584fc1dda6e7128939",
         "f0aa4c4ee1ce71afe710f7ccdb427543ec296b60d50a999ca8ff7ea97fb563d3",
@@ -50,17 +69,60 @@ GOLDEN = {
         "2b2d0bb94c980a2177b5f9a11582a1c43427985f15e71b806198d700c74b7a1d",
         "8412df5addd921abbe36a73c3291438b58303c823be18e274971ed8d21496401",
     ),
+    ("case2-dynaroute", 0): (
+        "957d11e7bc500da2a24a33ed1a2c8d19113f5f6d3b644eec48b8ce669c75d635",
+        "8151b1ea19d41b42e7b513154cafc72896c06ff0bc0c46b2cf03e475a748ea84",
+        "587f92c9ddbfbe64826bb02b24d1e1dd33909e5dc197ec19c23f056f0c76af2c",
+    ),
+    ("case2-dynaroute", 1): (
+        "2d0f045454500f19d185c856b8b55717b1715424b0a058ae2e52e589f0640393",
+        "d277765215b2e4afee77cff85243530c8866b67ad6ce4ee75f14d6ae4fef382d",
+        "387a3ef1ea4ba67069cd6d290a524f214132c72159d25f530e3081431b1ddf00",
+    ),
+}
+# (name, seed) -> sha256 of series_digest_text
+SERIES = {
+    ("case1-baseline", 0): "87b35e07ea7805b38f1e60aea4d03252e6088703d2b60cbd63250292d693dfe4",
+    ("case1-baseline", 1): "1f45fce93a168f8727fb1be0dfa89fa5107f7b6a5111f485d33ec2f49d0bd3fc",
+    ("case1-dynaroute", 0): "d23834b72000f26ad2ede7de22fe7066161690ed68d2ead8ddfaa28e10ba6717",
+    ("case1-dynaroute", 1): "99b17fe9a6c764819a355947ba5dfe25895ef99ce30a2a458b792a8a4dc73fe4",
+    ("case2-baseline", 0): "cc54d5742be6562bda80ec875e1acd3a76b47dc8dcffbd06f6ef7aef5431a1ac",
+    ("case2-baseline", 1): "858c6e3a8cecd6e55e025cdd3401ebc89ea214296749be0c30a00cb48d074854",
+    ("case2-dynaroute", 0): "d3d521763c826f52360c24dd688be110ea1c6cacbc6c0b02e8cf0fd4200cb83d",
+    ("case2-dynaroute", 1): "56205f1b09032d505e8b54091367bb82b23b5a59f415a42ece9d42a9117d7584",
 }
 
 
-def export_hashes(case: str, seed: int, out_dir: Path) -> tuple:
+@functools.lru_cache(maxsize=None)
+def golden_run(case: str, seed: int, duration: float) -> MetricsLog:
     loss_case, mode, load = CASES[case]
     cfg = default_config(loss_case)
-    cfg.duration = 3.0
+    cfg.duration = duration
     if load is not None:
         cfg.traffic.load = load
-    export(run(cfg, seed=seed, mode=mode), "csv", out_dir)
+    return run(cfg, seed=seed, mode=mode)
+
+
+def export_hashes(case: str, seed: int, out_dir: Path) -> tuple:
+    export(golden_run(case, seed, CSV_DURATION), "csv", out_dir)
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES)
+
+
+def series_digest_text(log: MetricsLog) -> str:
+    """One line per (predecessor, follower) pair: the exact h bits, then the
+    CBF flags."""
+    lines = []
+    for pair in sorted(log.h_series):
+        lines.append(f"h {pair} " + " ".join(float(h).hex() for h in log.h_series[pair]))
+    for pair in sorted(log.cbf_ok_series):
+        flags = "".join("1" if ok else "0" for ok in log.cbf_ok_series[pair])
+        lines.append(f"cbf {pair} {flags}")
+    return "\n".join(lines) + "\n"
+
+
+def series_hash(case: str, seed: int) -> str:
+    text = series_digest_text(golden_run(case, seed, SERIES_DURATION))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case, seed", sorted(GOLDEN))
@@ -68,15 +130,32 @@ def test_exports_match_pinned_hashes(case, seed, tmp_path):
     assert export_hashes(case, seed, tmp_path) == GOLDEN[(case, seed)]
 
 
+@pytest.mark.parametrize("case, seed", sorted(SERIES))
+def test_barrier_series_match_pinned_hashes(case, seed):
+    assert series_hash(case, seed) == SERIES[(case, seed)]
+
+
+def test_golden_matrix_covers_every_case_and_mode():
+    assert {(c, m) for c, m, _ in CASES.values()} == {
+        (c, m) for c in ("case1", "case2") for m in ("baseline", "dynaroute")
+    }
+    assert set(GOLDEN) == set(SERIES) == {(name, s) for name in CASES for s in (0, 1)}
+
+
 if __name__ == "__main__":
     import tempfile
 
+    keys = sorted((name, s) for name in CASES for s in (0, 1))
     print("GOLDEN = {")
-    for case, seed in sorted(GOLDEN):
+    for case, seed in keys:
         with tempfile.TemporaryDirectory() as tmp:
             hashes = export_hashes(case, seed, Path(tmp))
         print(f'    ("{case}", {seed}): (')
         for h in hashes:
             print(f'        "{h}",')
         print("    ),")
+    print("}")
+    print("SERIES = {")
+    for case, seed in keys:
+        print(f'    ("{case}", {seed}): "{series_hash(case, seed)}",')
     print("}")

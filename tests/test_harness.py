@@ -6,7 +6,7 @@ import pytest
 
 import dynaroute.config as config_mod
 from dynaroute.cli import main as cli_main
-from dynaroute.config import LossSettings, default_config
+from dynaroute.config import LossSettings, config_to_dict, default_config
 from dynaroute.channel import LossKind
 from dynaroute.harness import (
     MetricsLog,
@@ -59,9 +59,32 @@ def test_build_scenario_default_layout():
             pred = world.vehicles[agent.vid - 1]
             assert pred.state.px - agent.state.px == pytest.approx(10.0)
     assert len(world.rsus) == len(cfg.rsu_positions)
-    # one loss process per directed node pair
+    # one loss process per directed node pair, except RSU to RSU
     n_nodes = len(world.vehicles) + len(world.rsus)
-    assert len(world.losses) == n_nodes * (n_nodes - 1)
+    n_rsus = len(world.rsus)
+    assert len(world.losses) == n_nodes * (n_nodes - 1) - n_rsus * (n_rsus - 1)
+
+
+def test_loss_processes_cover_exactly_the_linkable_pairs():
+    cfg = default_config()
+    world = build_scenario(cfg, seed=0)
+    vehicles = [v.vid for v in world.vehicles]
+    rsus = [r.rid for r in world.rsus]
+    nodes = vehicles + rsus
+    linkable = {
+        (a, b) for a in nodes for b in nodes
+        if a != b and not (a in rsus and b in rsus)
+    }
+    assert set(world.losses) == linkable
+    # every beacon and every link a snapshot can hold samples one of them
+    beacons = {(nb, f.vid) for f in world.followers for nb in f.view.records}
+    assert beacons <= linkable
+    # RSUs in range of each other still get no RSU-to-RSU link
+    cfg.rsu_positions = ((150.0, 10.0), (160.0, 10.0))
+    world = build_scenario(cfg, seed=0)
+    links = set(build_topology(world, {}, 0).links)
+    assert links <= set(world.losses)
+    assert any(a in rsus or b in rsus for a, b in links)
 
 
 def test_build_scenario_minimal_platoon():
@@ -278,6 +301,35 @@ def test_run_halts_and_flags_on_collision(monkeypatch):
     assert log.collision
     assert log.halted_slot is not None
     assert log.slots_recorded == log.halted_slot + 1 < cfg.n_slots
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--out", "unused"],
+    ["sweep", "--param", "load", "--values", "1", "--out", "unused"],
+])
+def test_cli_config_and_loss_case_are_exclusive(tmp_path, command, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    assert cli_main(["init-config", "--out", str(cfg_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command + ["--config", str(cfg_path), "--loss-case", "case2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_cli_loss_case_runs_the_case_preset(tmp_path, monkeypatch):
+    import dynaroute.cli as cli_mod
+
+    seen = []
+
+    def short_run(cfg, seed, mode):
+        seen.append(config_to_dict(cfg))
+        return run(dataclasses.replace(cfg, duration=0.5), seed=seed, mode=mode)
+
+    monkeypatch.setattr(cli_mod, "run", short_run)
+    rc = cli_main(["run", "--loss-case", "case2", "--mode", "baseline",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert seen == [config_to_dict(default_config("case2"))]
 
 
 def test_cli_sweep_writes_summary(tmp_path):

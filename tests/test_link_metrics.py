@@ -6,17 +6,20 @@ from dynaroute.link_metrics import (
     MetricWeights,
     PathCandidate,
     aggregate_hop_values,
-    direction_progress,
-    direction_ratio,
-    hop_value,
     neighbor_transmit_count,
     node_weight,
-    path_value,
     relay_reliability,
     staying_time,
     vehicle_status,
     velocity_variance,
 )
+from dynaroute.scheduling import SIGMA_SCORE_FLOOR, _score
+
+
+def hop(numerator: float, prob: float) -> tuple:
+    """Per-hop factors (staying time, delivery prob, node weight, mobility
+    numerator) as path_score passes them to _score."""
+    return (numerator, prob, 1.0, numerator)
 
 
 def test_vehicle_status_boundary_inclusive():
@@ -47,15 +50,6 @@ def test_staying_time():
         staying_time(300.0, 301.0, 20.0, 10.0)
 
 
-def test_direction_ratio_geometry():
-    s, z = (0.0, 0.0), (100.0, 0.0)
-    assert direction_ratio(z, s, z) == 0.0
-    assert direction_ratio(s, s, z) == 1.0
-    assert direction_ratio((50.0, 0.0), s, z) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        direction_ratio((1, 1), s, s)
-
-
 def test_velocity_variance():
     assert velocity_variance([10, 10, 10]) == 0.0
     assert velocity_variance([8, 12]) == pytest.approx(2.0)
@@ -69,23 +63,23 @@ def test_node_weight():
     assert node_weight(1, 2, 1.0, MetricWeights(0, 0, 0), can_transmit=True) == 0.0
 
 
-def test_hop_value_direct_formula():
-    # direction factor 0.5 both as raw ratio and progress score
-    assert hop_value(20.0, 1.3, 0.5, 2.0, 0.9) == pytest.approx(5.85)
-    assert hop_value(20.0, 1.3, 0.5, 2.0, 0.0) == 0.0
+def test_path_score_single_hop_formula():
+    # mobility numerator / speed dispersion x delivery prob, over one hop
+    assert _score([hop(26.0, 0.9)], 2.0) == pytest.approx(11.7)
+    assert _score([hop(26.0, 0.0)], 2.0) == 0.0
 
 
 def test_path_value_annihilator_and_product():
-    metrics = [(20.0, 0.5), (20.0, 0.5)]
-    weights = [1.3, 1.3]
-    assert path_value(metrics, weights, 2.0, [0.9, 0.0]) == 0.0
-    total = path_value(metrics, weights, 2.0, [0.9, 0.9])
-    assert total == pytest.approx(5.85 * 5.85)
+    # delivery probabilities multiply along the path; the mobility terms
+    # combine by geometric mean and the score is per channel use
+    assert _score([hop(26.0, 0.9), hop(26.0, 0.0)], 2.0) == 0.0
+    total = _score([hop(26.0, 0.9), hop(26.0, 0.9)], 2.0)
+    assert total == pytest.approx(13.0 * 0.9 * 0.9 / 2)
 
 
 def test_path_value_sigma_floor():
-    one = path_value([(10.0, 0.0)], [1.0], 0.0, [1.0])
-    assert one == pytest.approx(10.0 / 1e-3)
+    one = _score([hop(10.0, 1.0)], 0.0)
+    assert one == pytest.approx(10.0 / SIGMA_SCORE_FLOOR)
 
 
 @given(
@@ -95,10 +89,10 @@ def test_path_value_sigma_floor():
     sigma=st.floats(min_value=0.01, max_value=10.0),
 )
 def test_path_value_monotonicity(sd, p, bump, sigma):
-    base = path_value([(sd, 0.5)], [1.0], sigma, [p])
-    assert path_value([(sd, 0.5)], [1.0], sigma, [min(1.0, p + bump)]) >= base
-    assert path_value([(sd + bump, 0.5)], [1.0], sigma, [p]) >= base
-    assert path_value([(sd, 0.5)], [1.0], sigma + bump, [p]) <= base
+    base = _score([hop(sd, p)], sigma)
+    assert _score([hop(sd, min(1.0, p + bump))], sigma) >= base
+    assert _score([hop(sd + bump, p)], sigma) >= base
+    assert _score([hop(sd, p)], sigma + bump) <= base
 
 
 @given(
@@ -112,23 +106,12 @@ def test_removing_sub_unit_hop_never_decreases_product(values):
             assert reduced >= total - 1e-12
 
 
-def test_direction_progress_clamps():
-    assert direction_progress(0.0) == 1.0
-    assert direction_progress(1.0) == 0.0
-    assert direction_progress(1.7) == 0.0
-    assert direction_progress(-0.2) == 1.0
-
-
 def test_path_candidate_validation():
     with pytest.raises(ValueError):
-        PathCandidate(hops=(1,), per_hop=(), node_weights=(), sigma_v=0.0, path_value=0.0)
+        PathCandidate(hops=(1,), path_value=0.0)
     with pytest.raises(ValueError):
-        PathCandidate(
-            hops=(1, 2, 1), per_hop=((1.0, 0.5, 0.9),) * 2,
-            node_weights=(1.0, 1.0), sigma_v=0.0, path_value=1.0,
-        )
-    cand = PathCandidate(
-        hops=(1, 2), per_hop=((10.0, 0.5, 0.8),), node_weights=(1.0,),
-        sigma_v=0.5, path_value=8.0,
-    )
-    assert cand.delivery_prob == pytest.approx(0.8)
+        PathCandidate(hops=(1, 2, 1), path_value=1.0)
+    with pytest.raises(ValueError):
+        PathCandidate(hops=(1, 2), path_value=-1.0)
+    cand = PathCandidate(hops=(1, 2), path_value=8.0)
+    assert cand.hops == (1, 2) and cand.path_value == 8.0

@@ -8,12 +8,11 @@ from hypothesis import given, strategies as st
 import oracles
 from dynaroute import optimizer
 from dynaroute.channel import LinkSnapshot
-from dynaroute.control import PlatoonConfig, extrapolate_states
+from dynaroute.control import ControlProblem, PlatoonConfig, extrapolate_states
 from dynaroute.dynamics import VehicleState
 from dynaroute.link_metrics import NodeStatus
 from dynaroute.optimizer import (
     BOUNDARY_SENTINEL,
-    ControlProblem,
     GaParams,
     Individual,
     JointContext,
@@ -21,7 +20,6 @@ from dynaroute.optimizer import (
     crowding_distance,
     decode_schedule,
     dominates,
-    evaluate,
     evaluate_population,
     evolve,
     non_dominated_sort,
@@ -54,6 +52,16 @@ def small_topology() -> TopologySnapshot:
         statuses={i: NodeStatus() for i in range(3)},
         links=links, comm_range=300.0,
     )
+
+
+def routing_objective(ctx: JointContext, genes) -> float:
+    """Y of a control-free genome with the given routing genes."""
+    ind = Individual(
+        control_genes=np.zeros((0, ctx.platoon.horizon, 2)),
+        routing_genes=np.array(genes, dtype=int),
+    )
+    evaluate_population([ind], ctx)
+    return ind.objective_y
 
 
 def make_context(n_packets=2, with_vehicle=True, horizon=4) -> tuple:
@@ -282,8 +290,8 @@ def test_evaluate_empty_routing_genome():
         control_genes=np.zeros((1, ctx.platoon.horizon, 2)),
         routing_genes=np.zeros(0, dtype=int),
     )
-    y, j, feasible = evaluate(ind, ctx)
-    assert y == 0.0 and feasible
+    evaluate_population([ind], ctx)
+    assert ind.objective_y == 0.0 and ind.feasible
 
 
 def test_evaluate_perfect_formation_zero_cost():
@@ -302,9 +310,9 @@ def test_evaluate_perfect_formation_zero_cost():
     ind = Individual(
         control_genes=np.zeros((1, cfg.horizon, 2)), routing_genes=np.zeros(0, dtype=int)
     )
-    y, j, feasible = evaluate(ind, ctx)
-    assert j == pytest.approx(0.0, abs=1e-9)
-    assert feasible
+    evaluate_population([ind], ctx)
+    assert ind.objective_j == pytest.approx(0.0, abs=1e-9)
+    assert ind.feasible
 
 
 def test_evaluate_matches_exact_scheduler_on_toy():
@@ -336,13 +344,7 @@ def test_evaluate_matches_exact_scheduler_on_toy():
     )
     exact = solve_schedule_exact(packets, topo, n_channels=2, horizon=4, max_hops=2)
     best_y = max(
-        evaluate(
-            Individual(
-                control_genes=np.zeros((0, ctx.platoon.horizon, 2)),
-                routing_genes=np.array(combo, dtype=int),
-            ),
-            ctx,
-        )[0]
+        routing_objective(ctx, combo)
         for combo in itertools.product(*(range(s) for s in ctx.routing_gene_sizes()))
     )
     assert best_y == pytest.approx(exact.objective(), rel=1e-9)
@@ -403,14 +405,7 @@ def test_evolve_finite_routing_space_matches_enumeration():
     ctx, _ = make_context(n_packets=2, with_vehicle=False)
     sizes = ctx.routing_gene_sizes()
     best_y = max(
-        evaluate(
-            Individual(
-                control_genes=np.zeros((0, ctx.platoon.horizon, 2)),
-                routing_genes=np.array(combo, dtype=int),
-            ),
-            ctx,
-        )[0]
-        for combo in itertools.product(*(range(s) for s in sizes))
+        routing_objective(ctx, combo) for combo in itertools.product(*(range(s) for s in sizes))
     )
     params = GaParams(population=8, generations=50, rng_seed=1)
     front = evolve(ctx, params)
