@@ -173,11 +173,14 @@ def predict_neighbor(
 
 @dataclass
 class SafetyContext:
-    """Barrier partner of the feasibility check: (T+1, 4) predicted states
-    of the predecessor, or None."""
+    """Barrier partner of the feasibility check: the predecessor's predicted
+    states, (T+1, 4) for every candidate or (C, T+1, 4) per candidate row,
+    or None. With per-row partners, has_predecessor (C,) marks the rows
+    that have one; the barrier check skips the others."""
 
     params: SafetyParams
     predecessor: np.ndarray | None = None
+    has_predecessor: np.ndarray | None = None
 
 
 def extrapolate_states(state: VehicleState, horizon: int, dt: float) -> np.ndarray:
@@ -331,10 +334,8 @@ def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
 
 def _h_series(ego: np.ndarray, partner: np.ndarray, params: SafetyParams) -> np.ndarray:
     """Following-mode barrier values along predicted trajectories; ego
-    (C, T+1, 4), partner (T+1, 4)."""
-    gap = np.hypot(
-        partner[None, :, 0] - ego[:, :, 0], partner[None, :, 1] - ego[:, :, 1]
-    )
+    (C, T+1, 4), partner (T+1, 4) or (C, T+1, 4)."""
+    gap = np.hypot(partner[..., 0] - ego[:, :, 0], partner[..., 1] - ego[:, :, 1])
     return (gap - params.l_w) ** 2 - (2.0 * params.w) ** 2
 
 
@@ -363,7 +364,10 @@ def feasibility_mask(
     if safety_ctx is not None and safety_ctx.predecessor is not None:
         alpha = safety_ctx.params.alpha
         h = _h_series(states, safety_ctx.predecessor, safety_ctx.params)
-        ok &= (h[:, 1:] - h[:, :-1] >= -alpha * h[:, :-1] - 1e-9).all(axis=1)
+        cbf_ok = (h[:, 1:] - h[:, :-1] >= -alpha * h[:, :-1] - 1e-9).all(axis=1)
+        if safety_ctx.has_predecessor is not None:
+            cbf_ok |= ~safety_ctx.has_predecessor
+        ok &= cbf_ok
     if deviation_ctx is not None:
         reference, budget = deviation_ctx
         t = states.shape[1] - 1
@@ -388,22 +392,40 @@ def reference_deviation_budget(
     return float(dev.sum())
 
 
+def neighbor_targets(neighbors: Sequence[tuple], horizon: int) -> np.ndarray:
+    """(K, T, 4) formation targets over slots 1..T: each neighbor's
+    predicted states plus its offset."""
+    targets = np.empty((len(neighbors), horizon, STATE_DIM))
+    for k, (pred, offset) in enumerate(neighbors):
+        targets[k] = pred[1:] + np.asarray(offset, dtype=float)
+    return targets
+
+
 def trajectory_costs(
     states: np.ndarray,
     inputs: np.ndarray,
     reference: np.ndarray,
-    neighbors: Sequence[tuple],
+    targets: np.ndarray,
     config: PlatoonConfig,
+    present: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Input effort + reference deviation + formation error per candidate,
+    summed in that order, one neighbor after another.
+
+    reference is (T+1, 4) for every candidate or (C, T+1, 4) per row;
+    targets (neighbor_targets) is (K, T, 4) or (C, K, T, 4). With per-row
+    targets padded to a common K, present (C, K) marks the real ones; a
+    padded neighbor adds exactly 0.0.
+    """
     cost = config.weight_r * np.hypot(inputs[:, :, 0], inputs[:, :, 1]).sum(axis=1)
     cost += config.weight_f * np.linalg.norm(
-        states[:, 1:, :] - reference[None, 1:, :], axis=2
+        states[:, 1:, :] - reference[..., 1:, :], axis=2
     ).sum(axis=1)
-    for pred, offset in neighbors:
-        target = pred[None, 1:, :] + np.asarray(offset, dtype=float)[None, None, :]
-        cost += config.weight_g * np.linalg.norm(states[:, 1:, :] - target, axis=2).sum(
-            axis=1
-        )
+    for k in range(targets.shape[-3]):
+        term = config.weight_g * np.linalg.norm(
+            states[:, 1:, :] - targets[..., k, :, :], axis=2
+        ).sum(axis=1)
+        cost += term if present is None else np.where(present[:, k], term, 0.0)
     return cost
 
 
@@ -474,7 +496,8 @@ def solve_dmpc(
         budget = reference_deviation_budget(prev_solution, reference, config)
         deviation_ctx = (reference, budget)
     feasible = feasibility_mask(states, inputs, config, problem.safety_ctx, deviation_ctx)
-    costs = trajectory_costs(states, inputs, reference, problem.neighbors, config)
+    targets = neighbor_targets(problem.neighbors, t)
+    costs = trajectory_costs(states, inputs, reference, targets, config)
 
     if not feasible.any():
         idx = 2  # max-brake fallback

@@ -292,7 +292,7 @@ def build_scenario(config: ScenarioConfig, seed: int = 0) -> World:
     )
 
 
-def build_topology(world: World, pending: dict, slot: int) -> TopologySnapshot:
+def build_topology(world: World, pending: dict) -> TopologySnapshot:
     """Channel-and-status snapshot over all vehicle/RSU nodes."""
     config = world.config
     params: ChannelParams = config.channel
@@ -300,16 +300,18 @@ def build_topology(world: World, pending: dict, slot: int) -> TopologySnapshot:
     positions = {n: world.node_position(n) for n in nodes}
     speeds = {n: world.node_speed(n) for n in nodes}
 
-    holders = {ps.holder for ps in pending.values() if ps.in_flight}
-    active = len(holders)
+    queue_len: dict = {}
+    for ps in pending.values():
+        if ps.in_flight:
+            queue_len[ps.holder] = queue_len.get(ps.holder, 0) + 1
     mult = config.loss_settings.contender_multiplier
-    contenders = max(1, int(round(mult * active)))
+    contenders = max(1, int(round(mult * len(queue_len))))
 
     statuses = {}
     for n in nodes:
         st = world.relay_stats[n]
         statuses[n] = NodeStatus(
-            queue_len=sum(1 for ps in pending.values() if ps.in_flight and ps.holder == n),
+            queue_len=queue_len.get(n, 0),
             queue_max=st.queue_max,
             relayed_ok=st.relayed_ok,
             relay_received=st.relay_received,
@@ -408,7 +410,7 @@ def run(config: ScenarioConfig | None = None, seed: int = 0, mode: str = "dynaro
     for k in range(config.n_slots):
         for agent in world.followers:
             agent.view.now = k
-        topo = build_topology(world, world.pending, k)
+        topo = build_topology(world, world.pending)
         if mode == "dynaroute" and world.followers and k % config.ga_period == 0:
             _ga_step(world, topo, k)
         _apply_controls(world, k)
@@ -818,7 +820,7 @@ series = defaultdict(lambda: defaultdict(list))
 with open(here / "trace.csv") as fh:
     for row in csv.DictReader(fh):
         vid = int(row["vehicle_id"])
-        series[vid]["t"].append(float(row["slot"]))
+        series[vid]["slot"].append(float(row["slot"]))
         for col in ("v", "a", "gap_to_pred"):
             series[vid][col].append(float(row[col]))
 
@@ -829,7 +831,7 @@ for col, fname, ylabel in (
 ):
     fig, ax = plt.subplots(figsize=(8, 4))
     for vid, data in sorted(series.items()):
-        ax.plot(data["t"], data[col], label=f"vehicle {vid}")
+        ax.plot(data["slot"], data[col], label=f"vehicle {vid}")
     ax.set_xlabel("slot")
     ax.set_ylabel(ylabel)
     ax.legend(fontsize=7, ncol=4)

@@ -17,7 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import PlatoonConfig, feasibility_mask, rollout_candidates, trajectory_costs
+from .control import (
+    STATE_DIM,
+    PlatoonConfig,
+    SafetyContext,
+    feasibility_mask,
+    neighbor_targets,
+    rollout_candidates,
+    state_vector,
+    trajectory_costs,
+)
+from .dynamics import SafetyParams
 from .scheduling import ScheduleDecision, fit_deadline_order, slot_options
 
 BOUNDARY_SENTINEL = sys.float_info.max
@@ -79,6 +89,10 @@ class ReferencePointSet:
     points: np.ndarray
     divisions: int
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return np.maximum(np.linalg.norm(self.points, axis=1), 1e-12)
+
 
 @dataclass
 class JointContext:
@@ -109,6 +123,56 @@ class JointContext:
     @cached_property
     def decode_table(self) -> "DecodeTable":
         return DecodeTable.build(self)
+
+    @cached_property
+    def control_batch(self) -> "ControlBatch":
+        return ControlBatch.build(self.problems, self.platoon.horizon)
+
+
+@dataclass(frozen=True)
+class ControlBatch:
+    """Per-context control inputs of the population evaluation, one row per
+    follower: start states (V, 4), references (V, T+1, 4), predecessor
+    predictions (V, T+1, 4) with a has-predecessor mask, and neighbor
+    targets (V, K, T, 4) padded to the largest neighbor count K with a
+    presence mask (V, K). Padding is zeros.
+
+    The barrier check needs one set of safety parameters for all followers.
+    """
+
+    starts: np.ndarray
+    references: np.ndarray
+    predecessors: np.ndarray
+    has_predecessor: np.ndarray
+    targets: np.ndarray
+    present: np.ndarray
+    safety: SafetyParams | None  # of the followers with a barrier partner
+
+    @classmethod
+    def build(cls, problems: Sequence, horizon: int) -> "ControlBatch":
+        n = len(problems)
+        k_max = max((len(p.neighbors) for p in problems), default=0)
+        starts = np.empty((n, STATE_DIM))
+        references = np.empty((n, horizon + 1, STATE_DIM))
+        predecessors = np.zeros((n, horizon + 1, STATE_DIM))
+        has_predecessor = np.zeros(n, dtype=bool)
+        targets = np.zeros((n, k_max, horizon, STATE_DIM))
+        present = np.zeros((n, k_max), dtype=bool)
+        safety = None
+        for v, problem in enumerate(problems):
+            starts[v] = state_vector(problem.current_state)
+            references[v] = problem.reference
+            ctx = problem.safety_ctx
+            if ctx is not None and ctx.predecessor is not None:
+                if safety is not None and ctx.params != safety:
+                    raise ValueError("followers must share the safety parameters")
+                safety = ctx.params
+                predecessors[v] = ctx.predecessor
+                has_predecessor[v] = True
+            k = len(problem.neighbors)
+            targets[v, :k] = neighbor_targets(problem.neighbors, horizon)
+            present[v, :k] = True
+        return cls(starts, references, predecessors, has_predecessor, targets, present, safety)
 
 
 @dataclass(frozen=True)
@@ -163,11 +227,13 @@ def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDec
 
 
 def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) -> None:
-    """Score genomes in place, batching the control rollouts per vehicle.
+    """Score genomes in place, with one batch of control rollouts over all
+    (follower, genome) rows.
 
     Y sums the path values of the decoded schedule in deadline order, the
     same sum as ScheduleDecision.objective; the channel grants are not
-    needed for it and are left to decode_schedule.
+    needed for it and are left to decode_schedule. J, feasibility and the
+    niching indicators are summed over followers in follower order.
     """
     n = len(individuals)
     if n == 0:
@@ -183,14 +249,42 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     effort = np.zeros(n)
     speed_dev = np.zeros(n)
     pos_dev = np.zeros(n)
-    for v, problem in enumerate(ctx.problems):
-        inputs = np.stack([ind.control_genes[v] for ind in individuals])
-        states = rollout_candidates(problem.current_state, inputs, cfg.dt)
-        feasible &= feasibility_mask(states, inputs, cfg, problem.safety_ctx, None)
-        costs += trajectory_costs(states, inputs, problem.reference, problem.neighbors, cfg)
-        effort += np.abs(inputs).mean(axis=(1, 2))
-        speed_dev += np.abs(states[:, :, 3] - problem.reference[None, :, 3]).mean(axis=1)
-        pos_dev += np.abs(states[:, :, 0] - problem.reference[None, :, 0]).mean(axis=1)
+    n_followers = ctx.n_vehicles
+    if n_followers:
+        batch = ctx.control_batch
+        # rows are follower-major: row v * n + i is follower v of genome i
+        inputs = np.stack([ind.control_genes for ind in individuals], axis=1).reshape(
+            n_followers * n, cfg.horizon, 2
+        )
+        references = np.repeat(batch.references, n, axis=0)
+        safety = None
+        if batch.safety is not None:
+            safety = SafetyContext(
+                batch.safety,
+                np.repeat(batch.predecessors, n, axis=0),
+                np.repeat(batch.has_predecessor, n),
+            )
+        states = rollout_candidates(np.repeat(batch.starts, n, axis=0), inputs, cfg.dt)
+        row_feasible = feasibility_mask(states, inputs, cfg, safety, None).reshape(
+            n_followers, n
+        )
+        row_costs = trajectory_costs(
+            states, inputs, references, np.repeat(batch.targets, n, axis=0), cfg,
+            np.repeat(batch.present, n, axis=0),
+        ).reshape(n_followers, n)
+        row_effort = np.abs(inputs).mean(axis=(1, 2)).reshape(n_followers, n)
+        row_speed = np.abs(states[:, :, 3] - references[:, :, 3]).mean(axis=1).reshape(
+            n_followers, n
+        )
+        row_pos = np.abs(states[:, :, 0] - references[:, :, 0]).mean(axis=1).reshape(
+            n_followers, n
+        )
+        for v in range(n_followers):
+            feasible &= row_feasible[v]
+            costs += row_costs[v]
+            effort += row_effort[v]
+            speed_dev += row_speed[v]
+            pos_dev += row_pos[v]
 
     for i, ind in enumerate(individuals):
         ind.objective_j = float(costs[i])
@@ -299,13 +393,17 @@ def reference_points(divisions: int) -> ReferencePointSet:
     return ReferencePointSet(points=np.array(pts), divisions=divisions)
 
 
-def _nearest_niche(vec: np.ndarray, points: np.ndarray) -> int:
-    """Index of the reference direction with the smallest perpendicular
-    distance to vec."""
-    norms = np.maximum(np.linalg.norm(points, axis=1), 1e-12)
-    proj = (vec[None, :] * points).sum(axis=1) / norms
-    perp = np.linalg.norm(vec[None, :] - proj[:, None] * points / norms[:, None], axis=1)
-    return int(np.argmin(perp))
+def _nearest_niches(normed: np.ndarray, ref_points: ReferencePointSet) -> list:
+    """Per row of normed, the index of the reference direction with the
+    smallest perpendicular distance to it, from one (rows x points)
+    distance matrix."""
+    points, norms = ref_points.points, ref_points.norms
+    proj = (normed[:, None, :] * points[None, :, :]).sum(axis=2) / norms[None, :]
+    perp = np.linalg.norm(
+        normed[:, None, :] - proj[:, :, None] * points[None, :, :] / norms[None, :, None],
+        axis=2,
+    )
+    return np.argmin(perp, axis=1).tolist()
 
 
 def _niche_truncate(
@@ -323,21 +421,20 @@ def _niche_truncate(
     span = coords.max(axis=0) - coords.min(axis=0)
     span[span < 1e-12] = 1.0
     normed = (coords - coords.min(axis=0)) / span
-    niches = [_nearest_niche(normed[i], ref_points.points) for i in range(len(everyone))]
+    niches = _nearest_niches(normed, ref_points)
 
     niche_count: dict = {}
     for niche in niches[: len(already_selected)]:
         niche_count[niche] = niche_count.get(niche, 0) + 1
     member_niches = niches[len(already_selected) :]
+    neg_crowding = [-ind.crowding for ind in front]
 
     chosen: list = []
     remaining = set(range(len(front)))
     while len(chosen) < k and remaining:
-        ranked = sorted(
-            (niche_count.get(member_niches[i], 0), -front[i].crowding, i)
-            for i in remaining
+        _count, _crowd, pick = min(
+            (niche_count.get(member_niches[i], 0), neg_crowding[i], i) for i in remaining
         )
-        pick = ranked[0][2]
         remaining.discard(pick)
         chosen.append(front[pick])
         niche_count[member_niches[pick]] = niche_count.get(member_niches[pick], 0) + 1
@@ -372,38 +469,46 @@ def crossover_mutate(
     crossover + index resampling on routing genes."""
     if parent_a.control_genes.shape != parent_b.control_genes.shape:
         raise ValueError("parents must share the genome shape")
-    child_a, child_b = parent_a.copy(), parent_b.copy()
-
+    a_control, b_control = parent_a.control_genes, parent_b.control_genes
+    a_routing, b_routing = parent_a.routing_genes, parent_b.routing_genes
     if rng.random() < params.crossover_rate:
-        beta = rng.random(size=parent_a.control_genes.shape)
-        child_a.control_genes = beta * parent_a.control_genes + (1 - beta) * parent_b.control_genes
-        child_b.control_genes = (1 - beta) * parent_a.control_genes + beta * parent_b.control_genes
-        swap = rng.random(size=parent_a.routing_genes.shape) < 0.5
-        child_a.routing_genes = np.where(swap, parent_b.routing_genes, parent_a.routing_genes)
-        child_b.routing_genes = np.where(swap, parent_a.routing_genes, parent_b.routing_genes)
+        beta = rng.random(size=a_control.shape)
+        swap = rng.random(size=a_routing.shape) < 0.5
+        children = (
+            Individual(
+                beta * a_control + (1 - beta) * b_control, np.where(swap, b_routing, a_routing)
+            ),
+            Individual(
+                (1 - beta) * a_control + beta * b_control, np.where(swap, a_routing, b_routing)
+            ),
+        )
+    else:
+        children = (parent_a.copy(), parent_b.copy())
 
+    mutate_control = params.mutation_rate > 0 and a_control.size > 0
+    mutate_routing = params.mutation_rate > 0 and routing_sizes is not None and a_routing.size > 0
+    noise_scale = 0.1
     if control_bounds is not None:
         r_bound, a_bound = control_bounds
-    else:
-        r_bound = a_bound = None
-    for child in (child_a, child_b):
-        if params.mutation_rate > 0 and child.control_genes.size:
-            mask = rng.random(size=child.control_genes.shape) < params.mutation_rate
-            noise = rng.normal(size=child.control_genes.shape)
-            if r_bound is not None:
-                noise[..., 0] *= 0.25 * r_bound
-                noise[..., 1] *= 0.25 * a_bound
-            else:
-                noise *= 0.1
+        noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
+        upper = np.array([r_bound, a_bound])
+        lower = -upper
+    for child in children:
+        if mutate_control:
+            mask = rng.random(size=a_control.shape) < params.mutation_rate
+            noise = rng.normal(size=a_control.shape)
+            noise *= noise_scale
             child.control_genes = child.control_genes + mask * noise
-        if r_bound is not None:
-            child.control_genes[..., 0] = np.clip(child.control_genes[..., 0], -r_bound, r_bound)
-            child.control_genes[..., 1] = np.clip(child.control_genes[..., 1], -a_bound, a_bound)
-        if params.mutation_rate > 0 and routing_sizes is not None and child.routing_genes.size:
+        if control_bounds is not None:
+            # np.clip per input column, as one max/min pair over both
+            genes = child.control_genes
+            np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
+        if mutate_routing:
+            routing = child.routing_genes
             for i, size in enumerate(routing_sizes):
                 if rng.random() < params.mutation_rate:
-                    child.routing_genes[i] = int(rng.integers(0, size))
-    return child_a, child_b
+                    routing[i] = int(rng.integers(0, size))
+    return children
 
 
 def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual:

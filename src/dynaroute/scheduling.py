@@ -23,11 +23,9 @@ from .link_metrics import (
     hop_alignment,
     neighbor_transmit_count,
     node_weight,
-    normalized_hop_aggregate,
     relay_reliability,
     staying_time,
     vehicle_status,
-    velocity_variance,
 )
 
 EXACT_MAX_PACKETS = 3
@@ -153,36 +151,52 @@ class TopologySnapshot:
         key = (source, destination, max_hops)
         if key not in self._path_cache:
             found = _loop_free_hops(self, source, destination, max_hops)
-            scores = [path_score(self, hops) for hops in found]
+            scores = path_scores(self, found)
             keep = sorted(range(len(found)), key=lambda i: -scores[i])[: self.path_cap]
-            self._path_cache[key] = [build_path_candidate(self, found[i]) for i in keep]
+            self._path_cache[key] = [PathCandidate(found[i], scores[i]) for i in keep]
         return self._path_cache[key]
 
 
-def _score(factors: list, sigma: float) -> float:
-    """Hop-count-normalized aggregate of the per-hop mobility factors
-    (lifetime x receiver weight x progress alignment over the speed
-    dispersion sigma) times the end-to-end delivery probability per channel
-    use: relaying only scores higher when the direct link is genuinely poor
-    enough to pay for the extra transmissions."""
-    sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
-    mobility = []
-    success = 1.0
-    for _sd, prob, _weight, numerator in factors:
-        mobility.append(numerator / sigma_eff)
-        success *= prob
-    return normalized_hop_aggregate(mobility) * success / len(mobility)
+def path_scores(topology: TopologySnapshot, paths: Iterable) -> list:
+    """path_score of each hop tuple, in one local loop."""
+    speeds = topology.speeds
+    cache = topology._hop_cache
+    hop_factors = topology.hop_factors
+    sqrt = math.sqrt
+    scores = []
+    for hops in paths:
+        velocities = [speeds.get(node, 0.0) for node in hops]
+        n_nodes = len(velocities)
+        mean = sum(velocities) / n_nodes
+        sigma = sqrt(sum([(v - mean) ** 2 for v in velocities]) / n_nodes)
+        sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
+        dst = hops[-1]
+        total = success = 1.0
+        u = hops[0]
+        for w in hops[1:]:
+            factors = cache.get((u, w, dst)) or hop_factors(u, w, dst)
+            total *= factors[3] / sigma_eff
+            success *= factors[1]
+            u = w
+        n_hops = n_nodes - 1
+        aggregate = 0.0 if total <= 0 else total ** (1.0 / n_hops)
+        scores.append(aggregate * success / n_hops)
+    return scores
 
 
 def path_score(topology: TopologySnapshot, hops: Sequence) -> float:
-    """Ranking value of one relay sequence, the only path score."""
-    dst = hops[-1]
-    cache = topology._hop_cache
-    factors = [
-        cache.get((u, w, dst)) or topology.hop_factors(u, w, dst)
-        for u, w in zip(hops[:-1], hops[1:])
-    ]
-    return _score(factors, velocity_variance([topology.speeds.get(n, 0.0) for n in hops]))
+    """Ranking value of one relay sequence, the only path score.
+
+    The geometric mean of the per-hop mobility factors (lifetime x receiver
+    weight x progress alignment over the speed dispersion sigma of the path
+    nodes, floored at SIGMA_SCORE_FLOOR) times the end-to-end delivery
+    probability per channel use: relaying only scores higher when the direct
+    link is genuinely poor enough to pay for the extra transmissions.
+    path_scores computes it with the float operations of
+    link_metrics.velocity_variance and normalized_hop_aggregate, in their
+    order.
+    """
+    return path_scores(topology, (hops,))[0]
 
 
 def build_path_candidate(

@@ -1,13 +1,21 @@
-"""Reference implementations kept for the tests: straightforward per-genome
-and per-path loops that the table-driven code in `dynaroute` must reproduce
-exactly (same placements, same float bits, same front order, same kept
-paths).
+"""Reference implementations kept for the tests: straightforward per-genome,
+per-follower, per-member and per-path loops that the table-driven and
+batched code in `dynaroute` must reproduce exactly (same placements, same
+float bits, same front order, same niche picks, same kept paths).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from dynaroute.control import (
+    feasibility_mask,
+    neighbor_targets,
+    rollout_candidates,
+    trajectory_costs,
+)
 from dynaroute.link_metrics import (
     PathCandidate,
     hop_alignment,
@@ -192,3 +200,72 @@ def candidate_paths(topology: TopologySnapshot, source, destination, max_hops: i
     cands = [build_path_candidate(topology, hops) for hops in found]
     cands.sort(key=lambda c: -c.path_value)
     return cands[: topology.path_cap]
+
+
+def evaluate_population(individuals, ctx: JointContext) -> None:
+    """Score genomes in place, one kernel call per follower over the
+    population: the control objective, feasibility and niching indicators
+    summed in follower order. Y is left to the decode oracle."""
+    n = len(individuals)
+    if n == 0:
+        return
+    cfg = ctx.platoon
+    costs = np.zeros(n)
+    feasible = np.ones(n, dtype=bool)
+    effort = np.zeros(n)
+    speed_dev = np.zeros(n)
+    pos_dev = np.zeros(n)
+    for v, problem in enumerate(ctx.problems):
+        inputs = np.stack([ind.control_genes[v] for ind in individuals])
+        states = rollout_candidates(problem.current_state, inputs, cfg.dt)
+        feasible &= feasibility_mask(states, inputs, cfg, problem.safety_ctx, None)
+        targets = neighbor_targets(problem.neighbors, cfg.horizon)
+        costs += trajectory_costs(states, inputs, problem.reference, targets, cfg)
+        effort += np.abs(inputs).mean(axis=(1, 2))
+        speed_dev += np.abs(states[:, :, 3] - problem.reference[None, :, 3]).mean(axis=1)
+        pos_dev += np.abs(states[:, :, 0] - problem.reference[None, :, 0]).mean(axis=1)
+
+    for i, ind in enumerate(individuals):
+        ind.objective_j = float(costs[i])
+        ind.feasible = bool(feasible[i])
+        ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
+
+
+def _nearest_niche(vec, points) -> int:
+    """Index of the reference direction with the smallest perpendicular
+    distance to vec."""
+    norms = np.maximum(np.linalg.norm(points, axis=1), 1e-12)
+    proj = (vec[None, :] * points).sum(axis=1) / norms
+    perp = np.linalg.norm(vec[None, :] - proj[:, None] * points / norms[:, None], axis=1)
+    return int(np.argmin(perp))
+
+
+def niche_truncate(front, k: int, ref_points, already_selected) -> list:
+    """Niche truncation with one distance computation per individual and a
+    full sort of the remaining members per pick."""
+    if k <= 0:
+        return []
+    everyone = list(already_selected) + list(front)
+    coords = np.array([ind.indicators for ind in everyone], dtype=float)
+    span = coords.max(axis=0) - coords.min(axis=0)
+    span[span < 1e-12] = 1.0
+    normed = (coords - coords.min(axis=0)) / span
+    niches = [_nearest_niche(normed[i], ref_points.points) for i in range(len(everyone))]
+
+    niche_count: dict = {}
+    for niche in niches[: len(already_selected)]:
+        niche_count[niche] = niche_count.get(niche, 0) + 1
+    member_niches = niches[len(already_selected) :]
+
+    chosen: list = []
+    remaining = set(range(len(front)))
+    while len(chosen) < k and remaining:
+        ranked = sorted(
+            (niche_count.get(member_niches[i], 0), -front[i].crowding, i)
+            for i in remaining
+        )
+        pick = ranked[0][2]
+        remaining.discard(pick)
+        chosen.append(front[pick])
+        niche_count[member_niches[pick]] = niche_count.get(member_niches[pick], 0) + 1
+    return chosen

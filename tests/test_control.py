@@ -285,7 +285,7 @@ def test_neighbor_view_receive_and_reset():
 
 def test_batched_cost_matches_scalar_stage_cost():
     # the vectorized candidate cost must agree with summing the scalar op
-    from dynaroute.control import trajectory_costs, rollout_candidates
+    from dynaroute.control import neighbor_targets, trajectory_costs, rollout_candidates
 
     cfg = make_config(horizon=4)
     ego = VehicleState(0.0, 0.0, 0.0, 15.0)
@@ -295,7 +295,8 @@ def test_batched_cost_matches_scalar_stage_cost():
     reference = extrapolate_states(VehicleState(1.0, 0.0, 0.0, 15.5), cfg.horizon, cfg.dt)
     nb = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), cfg.horizon, cfg.dt)
     off = np.array([-10.0, 0.0, 0.0, 0.0])
-    batched = trajectory_costs(states, inputs, reference, [(nb, off)], cfg)
+    targets = neighbor_targets([(nb, off)], cfg.horizon)
+    batched = trajectory_costs(states, inputs, reference, targets, cfg)
     for c in range(3):
         scalar = sum(
             stage_cost(

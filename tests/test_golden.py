@@ -3,16 +3,18 @@
 The pinned sha256 values guard refactors and performance work: any change
 that moves a single byte of trace.csv, packets.csv or summary.csv, or a
 single bit of the per-pair barrier series (MetricsLog.h_series and
-cbf_ok_series, which no CSV holds), fails here. The CSV runs simulate 3 s;
-the barrier series runs simulate 22 s, because the leaders first accelerate
-at 3.5 s (until then every h is the same constant) and the braking phases
-up to 21 s are where the CBF condition binds. To update the hashes for an
+cbf_ok_series, which no CSV holds), fails here. The GOLDEN runs simulate
+3 s; the barrier series runs simulate 22 s, because the leaders first
+accelerate at 3.5 s (until then every h is the same constant) and the
+braking phases up to 21 s are where the CBF condition binds. SERIES_GOLDEN
+pins the CSVs of those same 22 s runs, so the pinned trace.csv also covers
+the followers' response to the lead manoeuvres. To update the hashes for an
 intended behaviour change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the current tables, paste them over GOLDEN and SERIES below,
-and record the update and its reason in CHANGES.md.
+which prints the current tables, paste them over GOLDEN, SERIES_GOLDEN and
+SERIES below, and record the update and its reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -80,6 +82,49 @@ GOLDEN = {
         "387a3ef1ea4ba67069cd6d290a524f214132c72159d25f530e3081431b1ddf00",
     ),
 }
+# (name, seed) -> sha256 of FILES exported from the SERIES_DURATION runs
+SERIES_GOLDEN = {
+    ("case1-baseline", 0): (
+        "8f2e114bb7c9e65720bf097156a91c6bccb4d0b9546a69e38b7bf0d5e312823e",
+        "b1406f2d7f029d1ce5d43eff6a8f0c89a519096e66ef57a07a561a60bb9b815a",
+        "8ff2b5aa30b2eafb00ea5ad646fe5d0d4c184637462b8560b6cbd22d92dd28ee",
+    ),
+    ("case1-baseline", 1): (
+        "7b433a5d6efbd42cb14b14e8763aae8f3f2048efec304fd1bc7f13a7ad8be77f",
+        "b48510e45fcad09f3007a8cf16e4523a4354b9cd8f3e0cdafe782038b85cc076",
+        "c6870247209ad92f213e2af94250f5b353d03848bbdad2f4160c6dddce3b9caa",
+    ),
+    ("case1-dynaroute", 0): (
+        "8c7164828b396f48bdc80d487e067d5056877b48ada01d7617f7d5669b4decad",
+        "ef6a7d05ea83fd2ade0d4b60ca021c50e9b152c7209d513e708d09d4e02e5985",
+        "e62cb825723578f8da91043c67950c9931417108eca55006bbcde422c12ec47c",
+    ),
+    ("case1-dynaroute", 1): (
+        "d0b4e9f5c19e44a40521dc2da5170158f1d2b12841f1f5945e56a72d4d65a76b",
+        "4cce47c2d6496420a0a7808624a9a57c72b5f9f486bf175e5848764539d9af2d",
+        "50e3009408cb68ad97fd587af8265af56937da95b687ee6938fb8e1429612449",
+    ),
+    ("case2-baseline", 0): (
+        "b48ec6198ef97e9742e14b1261ef55f7a6882bb5f07772ff2a7b5d8ec9dc5ad5",
+        "1d42fb436461293003e2c09d80c38c9e7af506d403cc2d6697b7d4cb9c7388b0",
+        "2cba68f9431c1c449c475b8b686c633ea4e5b2a0d8e9296101ec4e0c984ffd6b",
+    ),
+    ("case2-baseline", 1): (
+        "4f8575dd950a29c28c97051ae5a5d9bcc9ea725436fd9e2fc28a358d15f2f1ee",
+        "02c41e6e28b741284b4d0fe6d0e14d91c24af591527dd87d13da80eb817e987b",
+        "24259847590a82cdfe5b1b8a069b6618c7cbc822718853ea722af492e9825645",
+    ),
+    ("case2-dynaroute", 0): (
+        "4d7afbe00af567b5d395c98ee9a7bd42f196766784eb81317b1e4ff018932b04",
+        "9a697de17107a9dd7ca577a14a2d334bdef0b8a1283d5221ca0ac50a3d1cf99f",
+        "8d9697fad6a3a011db62fbada01524b2cbf39a345822f40263d8c00eb430e02a",
+    ),
+    ("case2-dynaroute", 1): (
+        "07469e60249d7ae5acf3408139e5c6f2813836b982171f380b259f797e95ec0c",
+        "67355198e78d4c1ec42b9d76eda9e6555835a7dfe82f8707da8033c2c83010e7",
+        "e25e682ebf170793760563ec9bebaa31b5bd6470786a031d18fe25fd2c9825e8",
+    ),
+}
 # (name, seed) -> sha256 of series_digest_text
 SERIES = {
     ("case1-baseline", 0): "87b35e07ea7805b38f1e60aea4d03252e6088703d2b60cbd63250292d693dfe4",
@@ -103,8 +148,8 @@ def golden_run(case: str, seed: int, duration: float) -> MetricsLog:
     return run(cfg, seed=seed, mode=mode)
 
 
-def export_hashes(case: str, seed: int, out_dir: Path) -> tuple:
-    export(golden_run(case, seed, CSV_DURATION), "csv", out_dir)
+def export_hashes(case: str, seed: int, out_dir: Path, duration: float = CSV_DURATION) -> tuple:
+    export(golden_run(case, seed, duration), "csv", out_dir)
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES)
 
 
@@ -135,26 +180,39 @@ def test_barrier_series_match_pinned_hashes(case, seed):
     assert series_hash(case, seed) == SERIES[(case, seed)]
 
 
+@pytest.mark.parametrize("case, seed", sorted(SERIES_GOLDEN))
+def test_series_exports_match_pinned_hashes(case, seed, tmp_path):
+    hashes = export_hashes(case, seed, tmp_path, SERIES_DURATION)
+    assert hashes == SERIES_GOLDEN[(case, seed)]
+
+
 def test_golden_matrix_covers_every_case_and_mode():
     assert {(c, m) for c, m, _ in CASES.values()} == {
         (c, m) for c in ("case1", "case2") for m in ("baseline", "dynaroute")
     }
-    assert set(GOLDEN) == set(SERIES) == {(name, s) for name in CASES for s in (0, 1)}
+    assert set(GOLDEN) == set(SERIES_GOLDEN) == set(SERIES) == {
+        (name, s) for name in CASES for s in (0, 1)
+    }
 
 
-if __name__ == "__main__":
+def _print_csv_table(name: str, keys: list, duration: float) -> None:
     import tempfile
 
-    keys = sorted((name, s) for name in CASES for s in (0, 1))
-    print("GOLDEN = {")
+    print(f"{name} = {{")
     for case, seed in keys:
         with tempfile.TemporaryDirectory() as tmp:
-            hashes = export_hashes(case, seed, Path(tmp))
+            hashes = export_hashes(case, seed, Path(tmp), duration)
         print(f'    ("{case}", {seed}): (')
         for h in hashes:
             print(f'        "{h}",')
         print("    ),")
     print("}")
+
+
+if __name__ == "__main__":
+    keys = sorted((name, s) for name in CASES for s in (0, 1))
+    _print_csv_table("GOLDEN", keys, CSV_DURATION)
+    _print_csv_table("SERIES_GOLDEN", keys, SERIES_DURATION)
     print("SERIES = {")
     for case, seed in keys:
         print(f'    ("{case}", {seed}): "{series_hash(case, seed)}",')

@@ -82,7 +82,7 @@ def test_loss_processes_cover_exactly_the_linkable_pairs():
     # RSUs in range of each other still get no RSU-to-RSU link
     cfg.rsu_positions = ((150.0, 10.0), (160.0, 10.0))
     world = build_scenario(cfg, seed=0)
-    links = set(build_topology(world, {}, 0).links)
+    links = set(build_topology(world, {}).links)
     assert links <= set(world.losses)
     assert any(a in rsus or b in rsus for a, b in links)
 
@@ -107,7 +107,7 @@ def test_build_scenario_rejects_empty():
 def test_baseline_route_direct_and_progress():
     cfg = default_config()
     world = build_scenario(cfg, seed=0)
-    topo = build_topology(world, {}, 0)
+    topo = build_topology(world, {})
     pkt = Packet(0, 0, 10, 1e5, 0, 5)
     cand = baseline_route(topo, pkt)
     assert cand is not None
@@ -121,7 +121,7 @@ def test_baseline_route_direct_and_progress():
 def test_baseline_route_dead_end_returns_none():
     cfg = default_config()
     world = build_scenario(cfg, seed=0)
-    topo = build_topology(world, {}, 0)
+    topo = build_topology(world, {})
     # strip every link that makes progress from node 0
     topo.links = {
         (a, b): s for (a, b), s in topo.links.items() if a != 0
@@ -237,6 +237,16 @@ def test_export_empty_log_and_plotscript(tmp_path):
     ]
     assert (tmp_path / "plot_trace.py").exists()
     assert len(files) == 4
+
+
+def test_plotscript_compiles_and_keys_series_by_slot(tmp_path):
+    log = MetricsLog(dt=0.1, mode="baseline", seed=0)
+    export(log, "plotscript", tmp_path)
+    source = (tmp_path / "plot_trace.py").read_text()
+    compile(source, "plot_trace.py", "exec")
+    assert '"t"' not in source
+    assert '["slot"].append(float(row["slot"]))' in source
+    assert 'ax.set_xlabel("slot")' in source
 
 
 def test_export_rejects_unknown_format(tmp_path):

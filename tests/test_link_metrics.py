@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,13 +15,38 @@ from dynaroute.link_metrics import (
     vehicle_status,
     velocity_variance,
 )
-from dynaroute.scheduling import SIGMA_SCORE_FLOOR, _score
+from dynaroute.scheduling import SIGMA_SCORE_FLOOR, TopologySnapshot, path_score
 
 
 def hop(numerator: float, prob: float) -> tuple:
     """Per-hop factors (staying time, delivery prob, node weight, mobility
-    numerator) as path_score passes them to _score."""
+    numerator) as TopologySnapshot.hop_factors caches them for path_score."""
     return (numerator, prob, 1.0, numerator)
+
+
+def score(factors: list, sigma: float) -> float:
+    """path_score of the chain 0 -> 1 -> ... -> n whose hops have the given
+    factors and whose node speeds have population standard deviation sigma:
+    exactly sigma for one hop (speeds 0 and 2 sigma), sigma up to rounding
+    for two (speeds s - d, s, s + d with d = sigma * sqrt(3/2))."""
+    n = len(factors)
+    if n == 1:
+        speeds = [0.0, 2.0 * sigma]
+    elif n == 2:
+        d = sigma * math.sqrt(1.5)
+        speeds = [20.0 - d, 20.0, 20.0 + d]
+    else:
+        raise ValueError("one or two hops")
+    topo = TopologySnapshot(
+        positions={i: (0.0, 0.0) for i in range(n + 1)},
+        speeds=dict(enumerate(speeds)),
+        statuses={},
+        links={},
+        comm_range=300.0,
+    )
+    for u, f in enumerate(factors):
+        topo._hop_cache[(u, u + 1, n)] = f
+    return path_score(topo, tuple(range(n + 1)))
 
 
 def test_vehicle_status_boundary_inclusive():
@@ -65,20 +92,20 @@ def test_node_weight():
 
 def test_path_score_single_hop_formula():
     # mobility numerator / speed dispersion x delivery prob, over one hop
-    assert _score([hop(26.0, 0.9)], 2.0) == pytest.approx(11.7)
-    assert _score([hop(26.0, 0.0)], 2.0) == 0.0
+    assert score([hop(26.0, 0.9)], 2.0) == pytest.approx(11.7)
+    assert score([hop(26.0, 0.0)], 2.0) == 0.0
 
 
 def test_path_value_annihilator_and_product():
     # delivery probabilities multiply along the path; the mobility terms
     # combine by geometric mean and the score is per channel use
-    assert _score([hop(26.0, 0.9), hop(26.0, 0.0)], 2.0) == 0.0
-    total = _score([hop(26.0, 0.9), hop(26.0, 0.9)], 2.0)
+    assert score([hop(26.0, 0.9), hop(26.0, 0.0)], 2.0) == 0.0
+    total = score([hop(26.0, 0.9), hop(26.0, 0.9)], 2.0)
     assert total == pytest.approx(13.0 * 0.9 * 0.9 / 2)
 
 
 def test_path_value_sigma_floor():
-    one = _score([hop(10.0, 1.0)], 0.0)
+    one = score([hop(10.0, 1.0)], 0.0)
     assert one == pytest.approx(10.0 / SIGMA_SCORE_FLOOR)
 
 
@@ -89,10 +116,10 @@ def test_path_value_sigma_floor():
     sigma=st.floats(min_value=0.01, max_value=10.0),
 )
 def test_path_value_monotonicity(sd, p, bump, sigma):
-    base = _score([hop(sd, p)], sigma)
-    assert _score([hop(sd, min(1.0, p + bump))], sigma) >= base
-    assert _score([hop(sd + bump, p)], sigma) >= base
-    assert _score([hop(sd, p)], sigma + bump) <= base
+    base = score([hop(sd, p)], sigma)
+    assert score([hop(sd, min(1.0, p + bump))], sigma) >= base
+    assert score([hop(sd + bump, p)], sigma) >= base
+    assert score([hop(sd, p)], sigma + bump) <= base
 
 
 @given(

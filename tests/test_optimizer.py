@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 import oracles
 from dynaroute import optimizer
 from dynaroute.channel import LinkSnapshot
-from dynaroute.control import ControlProblem, PlatoonConfig, extrapolate_states
-from dynaroute.dynamics import VehicleState
+from dynaroute.control import ControlProblem, PlatoonConfig, SafetyContext, extrapolate_states
+from dynaroute.dynamics import SafetyParams, VehicleState
 from dynaroute.link_metrics import NodeStatus
 from dynaroute.optimizer import (
     BOUNDARY_SENTINEL,
@@ -536,3 +536,118 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
         champion = scalarize_select([i for i in front if i.feasible] or front)
         reference = oracles.decode_schedule(ctx, champion.routing_genes)
         assert list(decision.route_assign.items()) == list(reference.route_assign.items())
+
+
+def random_control_context(rng) -> JointContext:
+    """Followers spaced behind each other with 0-3 neighbors each and a
+    barrier partner that may be missing (no safety context, or one without
+    a predecessor); close partners make the barrier bind for some genomes."""
+    cfg = PlatoonConfig(horizon=int(rng.integers(2, 8)))
+    t, dt = cfg.horizon, cfg.dt
+    params = SafetyParams(w=2.0, l_w=4.0)
+    problems = []
+    for v in range(int(rng.integers(1, 6))):
+        x = -12.0 * (v + 1) + float(rng.uniform(-3.0, 3.0))
+        state = VehicleState(x, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.05, 0.05)),
+                             float(rng.uniform(12.0, 18.0)))
+        neighbors = []
+        for _ in range(int(rng.integers(0, 4))):
+            other = VehicleState(x + float(rng.uniform(5.0, 25.0)), float(rng.uniform(-1.0, 1.0)),
+                                 0.0, float(rng.uniform(12.0, 18.0)))
+            offset = np.array([-10.0, 0.0, 0.0, 0.0]) + rng.normal(scale=0.1, size=4)
+            neighbors.append((extrapolate_states(other, t, dt), offset))
+        if neighbors:
+            reference = neighbors[0][0] + neighbors[0][1][None, :]
+        else:
+            reference = extrapolate_states(state, t, dt)
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            safety_ctx = None
+        elif kind == 1:
+            safety_ctx = SafetyContext(params, None)
+        else:
+            partner = VehicleState(x + float(rng.uniform(7.5, 14.0)), 0.0, 0.0,
+                                   float(rng.uniform(8.0, 18.0)))
+            safety_ctx = SafetyContext(params, extrapolate_states(partner, t, dt))
+        problems.append(ControlProblem(state, reference, neighbors, safety_ctx))
+    return JointContext(platoon=cfg, problems=problems, packets=[], candidates=[])
+
+
+def random_control_population(ctx: JointContext, rng) -> list:
+    # genes up to 1.6x the actuator limits, so box bounds reject some genomes
+    cfg = ctx.platoon
+    population = []
+    for _ in range(int(rng.integers(1, 12))):
+        genes = np.empty((ctx.n_vehicles, cfg.horizon, 2))
+        genes[..., 0] = rng.uniform(-1.6 * cfg.r_max, 1.6 * cfg.r_max, size=genes.shape[:2])
+        genes[..., 1] = rng.uniform(-1.6 * cfg.a_max, 1.6 * cfg.a_max, size=genes.shape[:2])
+        if rng.random() < 0.5:
+            genes = np.clip(genes, [-cfg.comfort_r, -cfg.comfort_a], [cfg.comfort_r, cfg.comfort_a])
+        population.append(Individual(control_genes=genes, routing_genes=np.zeros(0, dtype=int)))
+    return population
+
+
+def test_evaluate_population_matches_per_follower_reference_exactly():
+    rng = np.random.default_rng(2026)
+    seen = {"feasible": 0, "infeasible": 0, "no_safety_ctx": 0, "no_predecessor": 0,
+            "mixed_neighbor_counts": 0, "no_neighbors": 0}
+    for _ in range(200):
+        ctx = random_control_context(rng)
+        population = random_control_population(ctx, rng)
+        reference = [ind.copy() for ind in population]
+        evaluate_population(population, ctx)
+        oracles.evaluate_population(reference, ctx)
+        for ind, ref in zip(population, reference):
+            assert ind.objective_j == ref.objective_j and type(ind.objective_j) is float
+            assert ind.feasible == ref.feasible and type(ind.feasible) is bool
+            assert ind.indicators == ref.indicators
+            assert all(type(x) is float for x in ind.indicators)
+            seen["feasible" if ind.feasible else "infeasible"] += 1
+        counts = {len(p.neighbors) for p in ctx.problems}
+        seen["mixed_neighbor_counts"] += len(counts) > 1
+        seen["no_neighbors"] += 0 in counts
+        seen["no_safety_ctx"] += any(p.safety_ctx is None for p in ctx.problems)
+        seen["no_predecessor"] += any(
+            p.safety_ctx is not None and p.safety_ctx.predecessor is None for p in ctx.problems
+        )
+    assert min(seen.values()) > 30, seen
+
+
+def test_control_batch_needs_shared_safety_params():
+    ctx = random_control_context(np.random.default_rng(3))
+    t, dt = ctx.platoon.horizon, ctx.platoon.dt
+    pred = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), t, dt)
+    problem = ctx.problems[0]
+    for w in (2.0, 2.5):
+        ctx.problems.append(ControlProblem(problem.current_state, problem.reference, [],
+                                           SafetyContext(SafetyParams(w=w), pred)))
+    with pytest.raises(ValueError):
+        ctx.control_batch
+
+
+def test_niche_truncate_matches_reference_exactly():
+    rng = np.random.default_rng(77)
+    seen = {"tied_indicators": 0, "tied_crowding": 0, "degenerate_axis": 0, "partial": 0}
+    for _ in range(400):
+        ref_pts = reference_points(int(rng.integers(1, 10)))
+        # few distinct values per indicator, so members share coordinates
+        levels = [rng.uniform(0.0, 2.0, size=int(rng.integers(1, 4))) for _ in range(3)]
+
+        def member():
+            ind = make_individual(0.0, 0.0)
+            ind.indicators = tuple(float(rng.choice(level)) for level in levels)
+            ind.crowding = float(rng.choice([0.0, 0.25, BOUNDARY_SENTINEL, rng.uniform(-1, 1)]))
+            return ind
+
+        front = [member() for _ in range(int(rng.integers(1, 24)))]
+        selected = [member() for _ in range(int(rng.integers(0, 24)))]
+        k = int(rng.integers(0, len(front) + 2))
+        picks = optimizer._niche_truncate(front, k, ref_pts, selected)
+        expected = oracles.niche_truncate(front, k, ref_pts, selected)
+        assert [id(ind) for ind in picks] == [id(ind) for ind in expected]
+        everyone = selected + front
+        seen["tied_indicators"] += len({i.indicators for i in everyone}) < len(everyone)
+        seen["tied_crowding"] += len({i.crowding for i in front}) < len(front)
+        seen["degenerate_axis"] += any(len(level) == 1 for level in levels)
+        seen["partial"] += 0 < k < len(front)
+    assert min(seen.values()) > 50, seen
