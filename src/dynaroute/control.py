@@ -6,13 +6,15 @@ The solver evaluates a candidate input set (shifted previous solution,
 deterministic safety candidates, seeded Gaussian perturbations) against box
 bounds, the discrete CBF condition toward the predecessor and the
 self-deviation constraint, then picks the cheapest feasible candidate. All
-candidate math is vectorized over the candidate axis.
+candidate math is vectorized over the candidates of every problem solved
+together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +23,15 @@ from .dynamics import (
     ControlInput,
     SafetyParams,
     VehicleState,
-    clamp_input,
     wrap_angle,
 )
 
 STATE_DIM = 4
 INPUT_DIM = 2
+# solve_dmpc's fixed candidates per problem: shifted plan, zero input,
+# max-brake, formation feedback
+DETERMINISTIC_CANDIDATES = 4
+MAX_BRAKE_CANDIDATE = 2
 
 
 def default_a_mat(dt: float) -> np.ndarray:
@@ -82,6 +87,11 @@ class PlatoonConfig:
             raise ValueError("gamma must be positive")
         if self.a_min >= self.a_max or self.v_min >= self.v_max:
             raise ValueError("box bounds must be ordered")
+        if self.n_candidates < DETERMINISTIC_CANDIDATES:
+            raise ValueError(
+                f"n_candidates must be at least {DETERMINISTIC_CANDIDATES}, "
+                "the deterministic candidates"
+            )
         if self.a_mat is None:
             self.a_mat = default_a_mat(self.dt)
         else:
@@ -299,17 +309,6 @@ def propagate_state(
     return config.a_mat @ x_i + config.f_mat @ u_i + delta * (x_j_last - x_i)
 
 
-@dataclass
-class DmpcSolution:
-    trajectory: PredictedTrajectory
-    cost: float
-    infeasible_fallback: bool = False
-
-    @property
-    def first_input(self) -> ControlInput:
-        return self.trajectory.inputs[0]
-
-
 def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
     """Euler-roll candidate input sequences; returns (C, T+1, 4).
 
@@ -348,9 +347,12 @@ def feasibility_mask(
 ) -> np.ndarray:
     """Box bounds + CBF + self-deviation, per candidate.
 
-    deviation_ctx is (reference, budget): candidates whose gamma-scaled
-    reference deviation over slots 1..T-1 exceeds the previous plan's budget
-    are rejected (the contraction form of the self-deviation constraint).
+    deviation_ctx is (references, budgets, has_budget): references (T+1, 4)
+    or (C, T+1, 4), budgets a scalar or (C,), and has_budget (C,) marks the
+    rows that have a previous plan. Such a row is rejected when its
+    gamma-scaled reference deviation over slots 1..T-1 exceeds the previous
+    plan's budget (the contraction form of the self-deviation constraint);
+    the other rows skip the check.
     """
     ok = np.ones(states.shape[0], dtype=bool)
     ok &= (inputs[:, :, 0] >= config.r_min - 1e-9).all(axis=1)
@@ -369,27 +371,13 @@ def feasibility_mask(
             cbf_ok |= ~safety_ctx.has_predecessor
         ok &= cbf_ok
     if deviation_ctx is not None:
-        reference, budget = deviation_ctx
+        references, budgets, has_budget = deviation_ctx
         t = states.shape[1] - 1
         dev = config.weight_g * np.linalg.norm(
-            states[:, 1:t, :] - reference[None, 1:t, :], axis=2
+            states[:, 1:t, :] - references[..., 1:t, :], axis=2
         )
-        ok &= config.gamma * dev.sum(axis=1) <= budget + 1e-9
+        ok &= (config.gamma * dev.sum(axis=1) <= budgets + 1e-9) | ~has_budget
     return ok
-
-
-def reference_deviation_budget(
-    prev: PredictedTrajectory, reference: np.ndarray, config: PlatoonConfig
-) -> float:
-    """Allowed reference deviation for the next plan: the slot-aligned
-    previous plan's deviation from the current reference over T-1 slots."""
-    old = prev.state_array()
-    t = prev.horizon
-    aligned = np.vstack([old[1:], old[-1:]])
-    dev = config.weight_g * np.linalg.norm(
-        aligned[0 : t - 1] - reference[0 : t - 1], axis=1
-    )
-    return float(dev.sum())
 
 
 def neighbor_targets(neighbors: Sequence[tuple], horizon: int) -> np.ndarray:
@@ -399,6 +387,53 @@ def neighbor_targets(neighbors: Sequence[tuple], horizon: int) -> np.ndarray:
     for k, (pred, offset) in enumerate(neighbors):
         targets[k] = pred[1:] + np.asarray(offset, dtype=float)
     return targets
+
+
+@dataclass(frozen=True)
+class ControlBatch:
+    """Control problems as arrays, one row per problem, for the kernels'
+    per-row form: start states (V, 4), references (V, T+1, 4), predecessor
+    predictions (V, T+1, 4) with a has-predecessor mask, and neighbor
+    targets (V, K, T, 4) padded to the largest neighbor count K with a
+    presence mask (V, K). Padding is zeros. The GA's population evaluation
+    and the batched DMPC solve both read it.
+
+    The barrier check needs one set of safety parameters for all problems.
+    """
+
+    starts: np.ndarray
+    references: np.ndarray
+    predecessors: np.ndarray
+    has_predecessor: np.ndarray
+    targets: np.ndarray
+    present: np.ndarray
+    safety: SafetyParams | None  # of the followers with a barrier partner
+
+    @classmethod
+    def build(cls, problems: Sequence, horizon: int) -> "ControlBatch":
+        n = len(problems)
+        k_max = max((len(p.neighbors) for p in problems), default=0)
+        starts = np.empty((n, STATE_DIM))
+        references = np.empty((n, horizon + 1, STATE_DIM))
+        predecessors = np.zeros((n, horizon + 1, STATE_DIM))
+        has_predecessor = np.zeros(n, dtype=bool)
+        targets = np.zeros((n, k_max, horizon, STATE_DIM))
+        present = np.zeros((n, k_max), dtype=bool)
+        safety = None
+        for v, problem in enumerate(problems):
+            starts[v] = state_vector(problem.current_state)
+            references[v] = problem.reference
+            ctx = problem.safety_ctx
+            if ctx is not None and ctx.predecessor is not None:
+                if safety is not None and ctx.params != safety:
+                    raise ValueError("followers must share the safety parameters")
+                safety = ctx.params
+                predecessors[v] = ctx.predecessor
+                has_predecessor[v] = True
+            k = len(problem.neighbors)
+            targets[v, :k] = neighbor_targets(problem.neighbors, horizon)
+            present[v, :k] = True
+        return cls(starts, references, predecessors, has_predecessor, targets, present, safety)
 
 
 def trajectory_costs(
@@ -429,12 +464,6 @@ def trajectory_costs(
     return cost
 
 
-def shift_solution(prev: PredictedTrajectory) -> np.ndarray:
-    """Warm start: drop the consumed first input and repeat the last one."""
-    arr = np.array([[i.r, i.a] for i in prev.inputs])
-    return np.vstack([arr[1:], arr[-1:]])
-
-
 def formation_feedback_input(
     current_state: VehicleState, reference: np.ndarray, config: PlatoonConfig
 ) -> tuple[float, float]:
@@ -451,71 +480,121 @@ def formation_feedback_input(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class DmpcSolution:
+    """One solved control problem: the chosen candidate's inputs (T, 2) and
+    predicted states (T+1, 4), row 0 the measured state. The next solve of
+    the same vehicle warm-starts from these arrays."""
+
+    inputs: np.ndarray
+    states: np.ndarray
+    cost: float
+    infeasible_fallback: bool = False
+
+    @cached_property
+    def first_input(self) -> ControlInput:
+        return ControlInput(float(self.inputs[0, 0]), float(self.inputs[0, 1]))
+
+
+class DmpcSolutions(tuple):
+    """solve_dmpc's result: one DmpcSolution per problem, in problem order."""
+
+    @property
+    def infeasible_fallback(self) -> int:
+        """How many of the problems fell back to max-brake."""
+        return sum(sol.infeasible_fallback for sol in self)
+
+
 def solve_dmpc(
-    problem: ControlProblem,
-    prev_solution: PredictedTrajectory | None,
+    problems: Sequence[ControlProblem],
+    prev_plans: Sequence[DmpcSolution | None],
     config: PlatoonConfig,
-    rng: np.random.Generator,
-) -> DmpcSolution:
-    """Candidate-search receding-horizon solve of one control problem.
+    rngs: Sequence[np.random.Generator],
+) -> DmpcSolutions:
+    """Candidate-search receding-horizon solve of independent control
+    problems, with one call of each candidate kernel over all of them.
 
-    Candidates: shifted previous solution, zero input, max-brake,
-    formation-feedback, and seeded Gaussian perturbations around the first
-    two. Returns the cheapest feasible candidate; when nothing is feasible,
-    the max-brake sequence is returned flagged as infeasible fallback.
+    Each problem gets a block of n_candidates rows: its previous plan
+    shifted by one slot (zero input without one), zero input, max-brake,
+    formation feedback, then Gaussian perturbations drawn from its own rng
+    around the shifted plan and the feedback in turn. A problem with a
+    previous plan also rejects candidates that deviate from the reference
+    more than that plan does. Each problem takes the cheapest feasible row
+    of its block; when none is feasible, the max-brake row, flagged as
+    infeasible fallback.
     """
+    if not problems:
+        return DmpcSolutions()
     t, dt = config.horizon, config.dt
-    current_state, reference = problem.current_state, problem.reference
+    n, c = len(problems), config.n_candidates
+    batch = ControlBatch.build(problems, t)
 
-    base = np.zeros((t, INPUT_DIM))
-    if prev_solution is not None:
-        base = shift_solution(prev_solution)
+    has_plan = np.array([plan is not None for plan in prev_plans], dtype=bool)
+    base = np.zeros((n, t, INPUT_DIM))
+    prev_states = np.zeros((n, t + 1, STATE_DIM))
+    for f, plan in enumerate(prev_plans):
+        if plan is not None:
+            # warm start: drop the consumed first input and repeat the last one
+            base[f, :-1] = plan.inputs[1:]
+            base[f, -1] = plan.inputs[-1]
+            prev_states[f] = plan.states
+    # the slot-aligned previous plan's reference deviation over T-1 slots
+    budgets = (
+        config.weight_g
+        * np.linalg.norm(prev_states[:, 1:t] - batch.references[:, : t - 1], axis=2)
+    ).sum(axis=1)
 
     # formation feedback held constant over the horizon
-    feedback = np.tile(formation_feedback_input(current_state, reference, config), (t, 1))
-
-    brake = np.tile([0.0, -config.comfort_a], (t, 1))
-    deterministic = np.stack([base, np.zeros((t, INPUT_DIM)), brake, feedback])
-
-    n_samples = max(config.n_candidates - len(deterministic), 0)
-    noise = rng.normal(size=(n_samples, t, INPUT_DIM))
-    noise[:, :, 0] *= 0.25 * config.comfort_r
-    noise[:, :, 1] *= 0.35 * config.comfort_a
-    centers = np.where(
-        (np.arange(n_samples) % 2 == 0)[:, None, None], base[None], feedback[None]
+    feedback = np.repeat(
+        np.array(
+            [formation_feedback_input(p.current_state, p.reference, config) for p in problems]
+        )[:, None, :],
+        t,
+        axis=1,
     )
-    sampled = centers + noise
+    brake = np.broadcast_to([0.0, -config.comfort_a], (n, t, INPUT_DIM))
+    deterministic = np.stack([base, np.zeros_like(base), brake, feedback], axis=1)
 
-    inputs = np.concatenate([deterministic, sampled], axis=0)
+    n_samples = c - DETERMINISTIC_CANDIDATES
+    noise = np.stack([rng.normal(size=(n_samples, t, INPUT_DIM)) for rng in rngs])
+    noise[..., 0] *= 0.25 * config.comfort_r
+    noise[..., 1] *= 0.35 * config.comfort_a
+    even = (np.arange(n_samples) % 2 == 0)[None, :, None, None]
+    sampled = np.where(even, base[:, None], feedback[:, None]) + noise
+
+    # row f * c + i is candidate i of problem f
+    inputs = np.concatenate([deterministic, sampled], axis=1).reshape(n * c, t, INPUT_DIM)
     inputs[:, :, 0] = np.clip(inputs[:, :, 0], -config.comfort_r, config.comfort_r)
     inputs[:, :, 1] = np.clip(inputs[:, :, 1], -config.comfort_a, config.comfort_a)
 
-    states = rollout_candidates(current_state, inputs, dt)
-    deviation_ctx = None
-    if prev_solution is not None:
-        budget = reference_deviation_budget(prev_solution, reference, config)
-        deviation_ctx = (reference, budget)
-    feasible = feasibility_mask(states, inputs, config, problem.safety_ctx, deviation_ctx)
-    targets = neighbor_targets(problem.neighbors, t)
-    costs = trajectory_costs(states, inputs, reference, targets, config)
+    states = rollout_candidates(np.repeat(batch.starts, c, axis=0), inputs, dt)
+    references = np.repeat(batch.references, c, axis=0)
+    safety = None
+    if batch.safety is not None:
+        safety = SafetyContext(
+            batch.safety,
+            np.repeat(batch.predecessors, c, axis=0),
+            np.repeat(batch.has_predecessor, c),
+        )
+    feasible = feasibility_mask(
+        states, inputs, config, safety,
+        (references, np.repeat(budgets, c), np.repeat(has_plan, c)),
+    ).reshape(n, c)
+    costs = trajectory_costs(
+        states, inputs, references, np.repeat(batch.targets, c, axis=0), config,
+        np.repeat(batch.present, c, axis=0),
+    ).reshape(n, c)
 
-    if not feasible.any():
-        idx = 2  # max-brake fallback
-        fallback = True
-    else:
-        costs = np.where(feasible, costs, np.inf)
-        idx = int(np.argmin(costs))
-        fallback = False
-
-    chosen_inputs = tuple(
-        clamp_input(ControlInput(float(r), float(a)), config.r_max, config.a_max)
-        for r, a in inputs[idx]
-    )
-    chosen_states = (current_state,) + tuple(
-        state_from_vector(states[idx, k]) for k in range(1, t + 1)
-    )
-    return DmpcSolution(
-        trajectory=PredictedTrajectory(states=chosen_states, inputs=chosen_inputs),
-        cost=float(costs[idx]) if feasible.any() else math.inf,
-        infeasible_fallback=fallback,
+    solved = feasible.any(axis=1)
+    masked = np.where(feasible, costs, np.inf)
+    idx = np.where(solved, np.argmin(masked, axis=1), MAX_BRAKE_CANDIDATE)
+    rows = np.arange(n) * c + idx
+    chosen_inputs, chosen_states = inputs[rows], states[rows]
+    # saturate at the actuator limits, as clamp_input does
+    chosen_inputs[:, :, 0] = np.clip(chosen_inputs[:, :, 0], -config.r_max, config.r_max)
+    chosen_inputs[:, :, 1] = np.clip(chosen_inputs[:, :, 1], -config.a_max, config.a_max)
+    cost = np.where(solved, masked[np.arange(n), idx], np.inf)
+    return DmpcSolutions(
+        DmpcSolution(chosen_inputs[f], chosen_states[f], float(cost[f]), not solved[f])
+        for f in range(n)
     )

@@ -30,15 +30,15 @@ from .channel import (
 from .config import ScenarioConfig, default_config
 from .control import (
     ControlInput,
+    DmpcSolution,
     NeighborRecord,
     NeighborView,
-    PredictedTrajectory,
     build_control_problem,
     formation_feedback_input,
     solve_dmpc,
 )
 from .dynamics import ManeuverMode, VehicleState, clamp_input, safety_function, step
-from .link_metrics import NodeStatus, PathCandidate
+from .link_metrics import NodeStatus
 from .optimizer import (
     GaParams,
     Individual,
@@ -47,7 +47,7 @@ from .optimizer import (
     evolve,
     scalarize_select,
 )
-from .scheduling import Packet, TopologySnapshot, build_path_candidate
+from .scheduling import Packet, TopologySnapshot
 
 RSU_ID_BASE = 1000
 
@@ -81,7 +81,7 @@ class VehicleAgent:
     state: VehicleState
     applied: ControlInput = field(default_factory=ControlInput)
     view: NeighborView | None = None
-    solution: PredictedTrajectory | None = None
+    solution: DmpcSolution | None = None
     held_inputs: list = field(default_factory=list)
     held_offset: int = 0
 
@@ -346,12 +346,12 @@ def build_topology(world: World, pending: dict) -> TopologySnapshot:
     )
 
 
-def baseline_route(
-    topology: TopologySnapshot, packet: Packet, holder=None
-) -> PathCandidate | None:
+def baseline_route(topology: TopologySnapshot, packet: Packet, holder=None) -> tuple | None:
     """Greedy geographic forwarding: repeatedly take the transmit-capable
-    neighbor closest to the destination; None when a void is reached."""
+    neighbor closest to the destination. Returns the hop tuple, or None
+    when a void is reached; the route carries no score."""
     position = topology.positions
+    bits = topology.status_bits
     dst = packet.destination
     node = packet.source if holder is None else holder
     path = [node]
@@ -363,7 +363,7 @@ def baseline_route(
         for nxt in topology.neighbors(node):
             if nxt in path:
                 continue
-            if nxt != dst and topology.status_bit(nxt) != 1:
+            if nxt != dst and bits[nxt] != 1:
                 continue
             d = math.hypot(
                 position[dst][0] - position[nxt][0], position[dst][1] - position[nxt][1]
@@ -374,7 +374,7 @@ def baseline_route(
             return None
         path.append(best)
         node = best
-    return build_path_candidate(topology, path)
+    return tuple(path)
 
 
 def _beacon_prob(world: World, topo: TopologySnapshot, src: int, dst: int) -> float:
@@ -504,10 +504,10 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
 
 
 def _apply_controls(world: World, k: int) -> None:
-    """Leaders follow the scheduled profile. Baseline followers re-solve
-    their DMPC on fresh beacons and apply its first input (receding
-    horizon); dynaroute followers step through the GA's held inputs,
-    advancing only while beacons arrive."""
+    """Leaders follow the scheduled profile. Baseline followers with fresh
+    beacons or no plan re-solve their DMPC, all in one solve, and apply
+    the first input (receding horizon); dynaroute followers step through
+    the GA's held inputs, advancing only while beacons arrive."""
     config = world.config
     for agent in world.vehicles:
         if agent.is_leader:
@@ -515,24 +515,33 @@ def _apply_controls(world: World, k: int) -> None:
                 ControlInput(0.0, lead_acceleration(k * config.dt)),
                 config.platoon.r_max, config.platoon.a_max,
             )
-    for agent in world.followers:
-        fresh = agent.view.any_delivered()
-        if world.mode == "baseline":
-            if fresh or agent.solution is None:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((world.seed, 2, agent.vid, k))
-                )
-                problem = build_control_problem(
-                    agent.state, agent.view, config.platoon, config.safety
-                )
-                sol = solve_dmpc(problem, agent.solution, config.platoon, rng)
-                agent.solution = sol.trajectory
-                agent.applied = sol.first_input
-        else:
-            if agent.held_inputs and (fresh or k == 0):
+    if world.mode == "dynaroute":
+        for agent in world.followers:
+            if agent.held_inputs and (agent.view.any_delivered() or k == 0):
                 offset = min(agent.held_offset, len(agent.held_inputs) - 1)
                 agent.applied = agent.held_inputs[offset]
             agent.held_offset += 1
+        return
+    stale = [
+        agent for agent in world.followers
+        if agent.view.any_delivered() or agent.solution is None
+    ]
+    if stale:
+        solutions = solve_dmpc(
+            [
+                build_control_problem(agent.state, agent.view, config.platoon, config.safety)
+                for agent in stale
+            ],
+            [agent.solution for agent in stale],
+            config.platoon,
+            [
+                np.random.default_rng(np.random.SeedSequence((world.seed, 2, agent.vid, k)))
+                for agent in stale
+            ],
+        )
+        for agent, sol in zip(stale, solutions):
+            agent.solution = sol
+            agent.applied = sol.first_input
 
 
 def _exchange_beacons(world: World, topo: TopologySnapshot, k: int) -> None:
@@ -568,20 +577,25 @@ def _inject_traffic(world: World, log: MetricsLog, k: int) -> None:
 
 
 def _assign_routes(world: World, topo: TopologySnapshot) -> None:
-    """Baseline re-routes every packet greedily and drops it at a void;
+    """Baseline re-routes every packet greedily and drops it at a void,
+    walking each (holder, destination) route once per snapshot;
     dynaroute gives a packet whose next link is gone the best candidate
     path from its holder."""
     max_hops = world.config.max_hops
+    routes: dict = {}
     for pid in sorted(world.pending):
         ps = world.pending[pid]
         if not ps.in_flight:
             continue
         if world.mode == "baseline":
-            cand = baseline_route(topo, ps.packet, holder=ps.holder)
-            if cand is None:
+            key = (ps.holder, ps.packet.destination)
+            if key not in routes:
+                routes[key] = baseline_route(topo, ps.packet, holder=ps.holder)
+            hops = routes[key]
+            if hops is None:
                 ps.dropped = True
             else:
-                ps.path, ps.path_pos, ps.path_value = cand.hops, 0, cand.path_value
+                ps.path, ps.path_pos = hops, 0
             continue
         link = ps.next_link()
         if link is None or link not in topo.links:

@@ -18,16 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .control import (
-    STATE_DIM,
+    ControlBatch,
     PlatoonConfig,
     SafetyContext,
     feasibility_mask,
-    neighbor_targets,
     rollout_candidates,
-    state_vector,
     trajectory_costs,
 )
-from .dynamics import SafetyParams
 from .scheduling import ScheduleDecision, fit_deadline_order, slot_options
 
 BOUNDARY_SENTINEL = sys.float_info.max
@@ -127,52 +124,6 @@ class JointContext:
     @cached_property
     def control_batch(self) -> "ControlBatch":
         return ControlBatch.build(self.problems, self.platoon.horizon)
-
-
-@dataclass(frozen=True)
-class ControlBatch:
-    """Per-context control inputs of the population evaluation, one row per
-    follower: start states (V, 4), references (V, T+1, 4), predecessor
-    predictions (V, T+1, 4) with a has-predecessor mask, and neighbor
-    targets (V, K, T, 4) padded to the largest neighbor count K with a
-    presence mask (V, K). Padding is zeros.
-
-    The barrier check needs one set of safety parameters for all followers.
-    """
-
-    starts: np.ndarray
-    references: np.ndarray
-    predecessors: np.ndarray
-    has_predecessor: np.ndarray
-    targets: np.ndarray
-    present: np.ndarray
-    safety: SafetyParams | None  # of the followers with a barrier partner
-
-    @classmethod
-    def build(cls, problems: Sequence, horizon: int) -> "ControlBatch":
-        n = len(problems)
-        k_max = max((len(p.neighbors) for p in problems), default=0)
-        starts = np.empty((n, STATE_DIM))
-        references = np.empty((n, horizon + 1, STATE_DIM))
-        predecessors = np.zeros((n, horizon + 1, STATE_DIM))
-        has_predecessor = np.zeros(n, dtype=bool)
-        targets = np.zeros((n, k_max, horizon, STATE_DIM))
-        present = np.zeros((n, k_max), dtype=bool)
-        safety = None
-        for v, problem in enumerate(problems):
-            starts[v] = state_vector(problem.current_state)
-            references[v] = problem.reference
-            ctx = problem.safety_ctx
-            if ctx is not None and ctx.predecessor is not None:
-                if safety is not None and ctx.params != safety:
-                    raise ValueError("followers must share the safety parameters")
-                safety = ctx.params
-                predecessors[v] = ctx.predecessor
-                has_predecessor[v] = True
-            k = len(problem.neighbors)
-            targets[v, :k] = neighbor_targets(problem.neighbors, horizon)
-            present[v, :k] = True
-        return cls(starts, references, predecessors, has_predecessor, targets, present, safety)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .link_metrics import (
@@ -107,10 +108,15 @@ class TopologySnapshot:
         st = self.node_status(node)
         return vehicle_status(st.queue_len, st.queue_max)
 
+    @cached_property
+    def status_bits(self) -> dict:
+        """status_bit of every node, computed once per snapshot."""
+        return {n: self.status_bit(n) for n in self.positions}
+
     def node_weight_of(self, node) -> float:
         if self._weight_cache is None:
             self._weight_cache = {}
-            bits = {n: self.status_bit(n) for n in self.positions}
+            bits = self.status_bits
             for n in self.positions:
                 st = self.node_status(n)
                 n_path = neighbor_transmit_count([bits[j] for j in self.neighbors(n)])

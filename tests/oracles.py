@@ -1,7 +1,8 @@
 """Reference implementations kept for the tests: straightforward per-genome,
-per-follower, per-member and per-path loops that the table-driven and
-batched code in `dynaroute` must reproduce exactly (same placements, same
-float bits, same front order, same niche picks, same kept paths).
+per-follower, per-problem, per-member, per-path and per-packet loops that
+the table-driven and batched code in `dynaroute` must reproduce exactly
+(same placements, same float bits, same front order, same niche picks, same
+kept paths, same routes).
 """
 
 from __future__ import annotations
@@ -11,11 +12,18 @@ import math
 import numpy as np
 
 from dynaroute.control import (
+    INPUT_DIM,
+    ControlProblem,
+    PlatoonConfig,
     feasibility_mask,
+    formation_feedback_input,
     neighbor_targets,
     rollout_candidates,
+    state_from_vector,
+    state_vector,
     trajectory_costs,
 )
+from dynaroute.dynamics import ControlInput, clamp_input
 from dynaroute.link_metrics import (
     PathCandidate,
     hop_alignment,
@@ -269,3 +277,110 @@ def niche_truncate(front, k: int, ref_points, already_selected) -> list:
         chosen.append(front[pick])
         niche_count[member_niches[pick]] = niche_count.get(member_niches[pick], 0) + 1
     return chosen
+
+
+def solve_dmpc(
+    problem: ControlProblem,
+    prev_inputs: np.ndarray | None,
+    prev_states: np.ndarray | None,
+    config: PlatoonConfig,
+    rng: np.random.Generator,
+) -> tuple:
+    """Single-problem candidate search: (inputs (T, 2), states (T+1, 4),
+    cost, infeasible fallback); prev_inputs/prev_states are the previous
+    plan, or None without one.
+
+    Candidates: shifted previous solution, zero input, max-brake,
+    formation-feedback, and seeded Gaussian perturbations around the
+    shifted solution and the feedback in turn. The self-deviation check
+    against the previous plan's reference-deviation budget runs here, per
+    problem, after the kernel's box and barrier checks.
+    """
+    t, dt = config.horizon, config.dt
+    current_state, reference = problem.current_state, problem.reference
+
+    base = np.zeros((t, INPUT_DIM))
+    if prev_inputs is not None:
+        base = np.vstack([prev_inputs[1:], prev_inputs[-1:]])
+
+    feedback = np.tile(formation_feedback_input(current_state, reference, config), (t, 1))
+    brake = np.tile([0.0, -config.comfort_a], (t, 1))
+    deterministic = np.stack([base, np.zeros((t, INPUT_DIM)), brake, feedback])
+
+    n_samples = max(config.n_candidates - len(deterministic), 0)
+    noise = rng.normal(size=(n_samples, t, INPUT_DIM))
+    noise[:, :, 0] *= 0.25 * config.comfort_r
+    noise[:, :, 1] *= 0.35 * config.comfort_a
+    centers = np.where(
+        (np.arange(n_samples) % 2 == 0)[:, None, None], base[None], feedback[None]
+    )
+    sampled = centers + noise
+
+    inputs = np.concatenate([deterministic, sampled], axis=0)
+    inputs[:, :, 0] = np.clip(inputs[:, :, 0], -config.comfort_r, config.comfort_r)
+    inputs[:, :, 1] = np.clip(inputs[:, :, 1], -config.comfort_a, config.comfort_a)
+
+    states = rollout_candidates(current_state, inputs, dt)
+    feasible = feasibility_mask(states, inputs, config, problem.safety_ctx, None)
+    if prev_states is not None:
+        aligned = np.vstack([prev_states[1:], prev_states[-1:]])
+        budget = float(
+            (config.weight_g * np.linalg.norm(aligned[0 : t - 1] - reference[0 : t - 1], axis=1)).sum()
+        )
+        dev = config.weight_g * np.linalg.norm(
+            states[:, 1:t, :] - reference[None, 1:t, :], axis=2
+        )
+        feasible &= config.gamma * dev.sum(axis=1) <= budget + 1e-9
+    targets = neighbor_targets(problem.neighbors, t)
+    costs = trajectory_costs(states, inputs, reference, targets, config)
+
+    if not feasible.any():
+        idx = 2  # max-brake fallback
+        fallback = True
+    else:
+        costs = np.where(feasible, costs, np.inf)
+        idx = int(np.argmin(costs))
+        fallback = False
+
+    chosen_inputs = tuple(
+        clamp_input(ControlInput(float(r), float(a)), config.r_max, config.a_max)
+        for r, a in inputs[idx]
+    )
+    chosen_states = (current_state,) + tuple(
+        state_from_vector(states[idx, k]) for k in range(1, t + 1)
+    )
+    return (
+        np.array([[i.r, i.a] for i in chosen_inputs]),
+        np.array([state_vector(s) for s in chosen_states]),
+        float(costs[idx]) if feasible.any() else math.inf,
+        fallback,
+    )
+
+
+def baseline_route(topology: TopologySnapshot, packet: Packet, holder=None):
+    """Greedy geographic forwarding with a status lookup per neighbor:
+    the hop tuple, or None at a void."""
+    position = topology.positions
+    dst = packet.destination
+    node = packet.source if holder is None else holder
+    path = [node]
+    while node != dst:
+        best = None
+        best_dist = math.hypot(
+            position[dst][0] - position[node][0], position[dst][1] - position[node][1]
+        )
+        for nxt in topology.neighbors(node):
+            if nxt in path:
+                continue
+            if nxt != dst and topology.status_bit(nxt) != 1:
+                continue
+            d = math.hypot(
+                position[dst][0] - position[nxt][0], position[dst][1] - position[nxt][1]
+            )
+            if d < best_dist - 1e-12:
+                best, best_dist = nxt, d
+        if best is None:
+            return None
+        path.append(best)
+        node = best
+    return tuple(path)

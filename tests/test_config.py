@@ -115,3 +115,16 @@ def test_scenario_validation_bounds():
     cfg.n_platoons = 0
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_too_few_dmpc_candidates_rejected_at_load(tmp_path):
+    # the four deterministic candidates fill a block of at least four rows
+    data = config_to_dict(default_config())
+    path = tmp_path / "scenario.json"
+    data["platoon"]["n_candidates"] = 3
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="n_candidates"):
+        load_config(path)
+    data["platoon"]["n_candidates"] = 4
+    path.write_text(json.dumps(data))
+    assert load_config(path).platoon.n_candidates == 4

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import dynaroute.control as control_mod
+import oracles
 from dynaroute.control import (
     ControlProblem,
+    DmpcSolution,
     NeighborRecord,
     NeighborView,
     PlatoonConfig,
@@ -15,6 +19,7 @@ from dynaroute.control import (
     extrapolate_states,
     predict_neighbor,
     propagate_state,
+    rollout_candidates,
     self_deviation_ok,
     solve_dmpc,
     stage_cost,
@@ -139,7 +144,7 @@ def test_extrapolate_states_constant_velocity():
 
 def solve(ego, view, cfg, seed):
     problem = build_control_problem(ego, view, cfg)
-    return solve_dmpc(problem, None, cfg, np.random.default_rng(seed))
+    return solve_dmpc([problem], [None], cfg, [np.random.default_rng(seed)])[0]
 
 
 def test_build_control_problem_reference_and_predecessor():
@@ -187,15 +192,16 @@ def test_solve_dmpc_predicts_no_neighbor_itself(monkeypatch):
     view = formation_view()
     view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
     problem = build_control_problem(ego, view, cfg, SafetyParams())
-    expected = solve_dmpc(problem, None, cfg, np.random.default_rng(5))
+    expected = solve_dmpc([problem], [None], cfg, [np.random.default_rng(5)])[0]
 
     def forbidden(*args):
         raise AssertionError("solve_dmpc predicted a neighbor")
 
     monkeypatch.setattr(control_mod, "predict_neighbor", forbidden)
     monkeypatch.setattr(control_mod, "extrapolate_states", forbidden)
-    out = solve_dmpc(problem, None, cfg, np.random.default_rng(5))
-    assert out.trajectory == expected.trajectory and out.cost == expected.cost
+    out = solve_dmpc([problem], [None], cfg, [np.random.default_rng(5)])[0]
+    assert np.array_equal(out.inputs, expected.inputs)
+    assert np.array_equal(out.states, expected.states) and out.cost == expected.cost
 
 
 def test_solve_dmpc_stationary_formation_zero_input():
@@ -206,7 +212,7 @@ def test_solve_dmpc_stationary_formation_zero_input():
     assert not out.infeasible_fallback
     assert out.first_input == ControlInput(0.0, 0.0)
     assert out.cost == pytest.approx(0.0, abs=1e-9)
-    assert out.trajectory.states[0] == ego
+    assert np.array_equal(out.states[0], state_vector(ego))
 
 
 def test_solve_dmpc_first_input_is_first_planned_input():
@@ -217,7 +223,7 @@ def test_solve_dmpc_first_input_is_first_planned_input():
     view.records[0].state = VehicleState(24.0, 0.0, 0.0, 17.0)
     for seed in range(3):
         out = solve(ego, view, cfg, seed)
-        assert out.first_input is out.trajectory.inputs[0]
+        assert out.first_input == ControlInput(*map(float, out.inputs[0]))
 
 
 def test_solve_dmpc_follower_accelerates_behind_faster_leader():
@@ -245,7 +251,7 @@ def test_solve_dmpc_cbf_forces_fallback():
         neighbors=[],
         safety_ctx=SafetyContext(params=params, predecessor=predecessor),
     )
-    out = solve_dmpc(problem, None, cfg, np.random.default_rng(2))
+    out = solve_dmpc([problem], [None], cfg, [np.random.default_rng(2)])[0]
     assert out.infeasible_fallback
     assert out.first_input.a == pytest.approx(-cfg.comfort_a)
 
@@ -257,7 +263,7 @@ def test_solve_dmpc_deterministic_given_seed():
     view.records[0].state = VehicleState(25.0, 0.0, 0.0, 16.5)
     a = solve(ego, view, cfg, 42)
     b = solve(ego, view, cfg, 42)
-    assert a.trajectory == b.trajectory
+    assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.states, b.states)
     assert a.cost == b.cost
 
 
@@ -267,9 +273,102 @@ def test_solve_dmpc_respects_comfort_bounds():
     view = formation_view()
     view.records[0].state = VehicleState(80.0, 0.0, 0.0, 25.0)
     out = solve(ego, view, cfg, 3)
-    for inp in out.trajectory.inputs:
-        assert abs(inp.a) <= cfg.comfort_a + 1e-12
-        assert abs(inp.r) <= cfg.comfort_r + 1e-12
+    for r, a in out.inputs:
+        assert abs(a) <= cfg.comfort_a + 1e-12
+        assert abs(r) <= cfg.comfort_r + 1e-12
+
+
+def random_dmpc_problem(rng, cfg: PlatoonConfig, params: SafetyParams) -> ControlProblem:
+    """A follower's problem with 0-2 neighbors (anchor first, then the
+    predecessor; either may be missing), stale records, with or without a
+    barrier partner. Three rarer kinds probe the checks: no candidate can
+    solve it (a stopped predecessor 2 m ahead of a fast ego); a vehicle
+    standing at the origin without an anchor, whose reference is all zeros
+    like a missing plan; and a corrupted (NaN) anchor beacon."""
+    ego = VehicleState(
+        rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2),
+        rng.uniform(5.0, 25.0),
+    )
+    kind = rng.random()
+    if kind < 0.15:
+        stopped = VehicleState(ego.px + 2.0, ego.py, 0.0, 0.0)
+        return ControlProblem(
+            current_state=ego,
+            reference=extrapolate_states(ego, cfg.horizon, cfg.dt),
+            neighbors=[],
+            safety_ctx=SafetyContext(params, extrapolate_states(stopped, cfg.horizon, cfg.dt)),
+        )
+    if kind < 0.25:
+        ego = VehicleState(0.0, 0.0, 0.0, 0.0)
+    view = NeighborView(now=3)
+    for vid, is_anchor, gap in ((0, True, 20.0), (1, False, 10.0)):
+        if rng.random() < 0.3 or (is_anchor and kind < 0.25):
+            continue
+        state = VehicleState(
+            ego.px + gap + rng.normal(0.0, 2.0), ego.py + rng.normal(0.0, 0.3),
+            rng.normal(0.0, 0.05), ego.v + rng.normal(0.0, 2.0),
+        )
+        if is_anchor and kind > 0.97:
+            state = VehicleState(math.nan, state.py, state.psi, state.v)
+        view.records[vid] = NeighborRecord(
+            state=state, slot=int(rng.integers(0, 4)), delivered=True,
+            offset=np.array([-gap, 0.0, 0.0, 0.0]), is_reference_anchor=is_anchor,
+        )
+    return build_control_problem(ego, view, cfg, params if rng.random() < 0.8 else None)
+
+
+def random_plan(rng, cfg: PlatoonConfig, problem: ControlProblem) -> DmpcSolution:
+    """A previous plan near the problem's start, off the reference by a
+    random amount, so the deviation budget binds in some problems only."""
+    inputs = np.stack([
+        rng.uniform(-cfg.comfort_r, cfg.comfort_r, cfg.horizon),
+        rng.uniform(-cfg.comfort_a, cfg.comfort_a, cfg.horizon),
+    ], axis=1)
+    states = rollout_candidates(problem.current_state, inputs[None], cfg.dt)[0]
+    states[1:] += rng.normal(0.0, rng.uniform(0.0, 3.0), size=states[1:].shape)
+    return DmpcSolution(inputs, states, 0.0)
+
+
+def test_solve_dmpc_matches_single_problem_reference_exactly():
+    # one batched solve per set equals the per-problem loop bit for bit
+    rng = np.random.default_rng(2024)
+    params = SafetyParams()
+    seen = {"fallback_beside_feasible": 0, "plan": 0, "no_plan": 0, "no_predecessor": 0}
+    for _trial in range(200):
+        cfg = PlatoonConfig(
+            horizon=int(rng.integers(2, 11)),
+            n_candidates=int(rng.choice([4, 5, 17, 64])),
+            comfort_a=float(rng.choice([1.0, 2.0])),
+        )
+        n = int(rng.integers(1, 7))
+        problems = [random_dmpc_problem(rng, cfg, params) for _ in range(n)]
+        plans = [random_plan(rng, cfg, p) if rng.random() < 0.5 else None for p in problems]
+        seeds = rng.integers(0, 2**32, size=n)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        ref_rngs = [np.random.default_rng(s) for s in seeds]
+        out = solve_dmpc(problems, plans, cfg, rngs)
+        assert len(out) == n
+        assert out.infeasible_fallback == sum(sol.infeasible_fallback for sol in out)
+        for problem, plan, sol, rng_f, ref_rng in zip(problems, plans, out, rngs, ref_rngs):
+            ref_inputs, ref_states, ref_cost, ref_fallback = oracles.solve_dmpc(
+                problem,
+                None if plan is None else plan.inputs,
+                None if plan is None else plan.states,
+                cfg,
+                ref_rng,
+            )
+            assert sol.inputs.tobytes() == ref_inputs.tobytes()
+            assert sol.states.tobytes() == ref_states.tobytes()
+            assert type(sol.cost) is float
+            assert sol.cost == ref_cost or (math.isnan(sol.cost) and math.isnan(ref_cost))
+            assert sol.infeasible_fallback == ref_fallback
+            assert rng_f.random() == ref_rng.random()
+            seen["plan" if plan is not None else "no_plan"] += 1
+            ctx = problem.safety_ctx
+            seen["no_predecessor"] += ctx is None or ctx.predecessor is None
+        flags = {sol.infeasible_fallback for sol in out}
+        seen["fallback_beside_feasible"] += flags == {True, False}
+    assert all(seen.values()), seen
 
 
 def test_neighbor_view_receive_and_reset():

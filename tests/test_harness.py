@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 import dynaroute.config as config_mod
+import oracles
 from dynaroute.cli import main as cli_main
 from dynaroute.config import LossSettings, config_to_dict, default_config
 from dynaroute.channel import LossKind
+from dynaroute.dynamics import VehicleState
 from dynaroute.harness import (
     MetricsLog,
+    PacketState,
+    _assign_routes,
     baseline_route,
     build_scenario,
     build_topology,
@@ -111,10 +115,10 @@ def test_baseline_route_direct_and_progress():
     pkt = Packet(0, 0, 10, 1e5, 0, 5)
     cand = baseline_route(topo, pkt)
     assert cand is not None
-    assert cand.hops[0] == 0 and cand.hops[-1] == 5
+    assert cand[0] == 0 and cand[-1] == 5
     # greedy geographic: every hop strictly reduces distance to destination
     pos = topo.positions
-    dist = [math.dist(pos[h], pos[5]) for h in cand.hops]
+    dist = [math.dist(pos[h], pos[5]) for h in cand]
     assert all(d2 < d1 for d1, d2 in zip(dist, dist[1:]))
 
 
@@ -129,6 +133,66 @@ def test_baseline_route_dead_end_returns_none():
     topo._neighbor_cache = None
     pkt = Packet(0, 0, 10, 1e5, 0, 5)
     assert baseline_route(topo, pkt) is None
+
+
+def scattered_baseline_world(rng, seed: int):
+    """A baseline world with vehicles scattered over the road and packets
+    queued at every node, some beyond queue_max so that those relays are
+    full (status bit 0)."""
+    cfg = default_config()
+    world = build_scenario(cfg, seed=seed)
+    world.mode = "baseline"
+    for agent in world.vehicles:
+        agent.state = VehicleState(
+            rng.uniform(-400.0, 1000.0), rng.uniform(-20.0, 30.0), 0.0, rng.uniform(5.0, 25.0)
+        )
+    nodes = world.all_nodes()
+    vehicles = [v.vid for v in world.vehicles]
+    for node in nodes:
+        queued = cfg.queue_max + 1 if rng.random() < 0.3 else int(rng.integers(0, 3))
+        for _ in range(queued):
+            pid = len(world.pending)
+            dst = int(rng.choice([v for v in vehicles if v != node]))
+            pkt = Packet(pid, 0, 20, 1e5, node, dst)
+            world.pending[pid] = PacketState(packet=pkt, holder=node)
+    return world, nodes
+
+
+def test_baseline_route_matches_reference_with_full_relays():
+    rng = np.random.default_rng(17)
+    full = 0
+    for seed in range(20):
+        world, nodes = scattered_baseline_world(rng, seed)
+        topo = build_topology(world, world.pending)
+        full += sum(topo.status_bit(n) == 0 for n in nodes)
+        for src in nodes:
+            for dst in nodes:
+                if src != dst:
+                    pkt = Packet(0, 0, 10, 1e5, src, dst)
+                    assert baseline_route(topo, pkt) == oracles.baseline_route(topo, pkt)
+    assert full > 0
+
+
+def test_assign_routes_memo_gives_every_packet_its_own_route():
+    rng = np.random.default_rng(5)
+    voids = shared = 0
+    for seed in range(20):
+        world, _nodes = scattered_baseline_world(rng, seed)
+        topo = build_topology(world, world.pending)
+        expected = {
+            pid: oracles.baseline_route(topo, ps.packet, holder=ps.holder)
+            for pid, ps in world.pending.items()
+        }
+        pairs = [(ps.holder, ps.packet.destination) for ps in world.pending.values()]
+        shared += len(pairs) - len(set(pairs))
+        _assign_routes(world, topo)
+        for pid, ps in world.pending.items():
+            hops = expected[pid]
+            assert ps.dropped == (hops is None)
+            assert ps.path == (() if hops is None else hops) and ps.path_pos == 0
+            assert ps.path_value == 0.0  # baseline routes carry no score
+            voids += hops is None
+    assert voids and shared
 
 
 def test_zero_traffic_flat_profile_equilibrium():
