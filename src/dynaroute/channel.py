@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,17 +150,6 @@ def slot_success_prob(
     load = theta * n_contenders / (params.bandwidth * params.tau_slot)
     exponent = -(2.0**load - 1.0) / params.effective_varpi * distance_l**2
     return math.exp(exponent)
-
-
-def multi_slot_success_prob(per_slot: Iterable[float]) -> float:
-    """Product of per-slot success probabilities; empty input gives 1
-    (empty-product convention)."""
-    total = 1.0
-    for p in per_slot:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        total *= p
-    return total
 
 
 def sample_delivery(prob: float, loss: LossProcess) -> int:

@@ -10,10 +10,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .channel import ChannelParams, LinkState, LossKind
-from .control import PlatoonConfig, default_a_mat, default_f_mat
+from .channel import ChannelParams, LossKind
+from .control import PlatoonConfig
 from .dynamics import SafetyParams
 from .link_metrics import MetricWeights
 from .optimizer import GaParams
@@ -104,6 +102,12 @@ class ScenarioConfig:
             raise ConfigError("need at least one platoon with at least one vehicle")
         if self.dt <= 0 or self.duration <= 0:
             raise ConfigError("dt and duration must be positive")
+        # the rollouts step with platoon.dt and a channel slot lasts tau_slot
+        if self.platoon.dt != self.dt or self.channel.tau_slot != self.dt:
+            raise ConfigError(
+                f"platoon.dt ({self.platoon.dt}) and channel.tau_slot "
+                f"({self.channel.tau_slot}) must equal dt ({self.dt})"
+            )
         slots = self.duration / self.dt
         if abs(slots - round(slots)) > 1e-9:
             raise ConfigError("duration must be an integral number of slots")
@@ -157,12 +161,25 @@ _NESTED = {
     "traffic": TrafficConfig,
 }
 
-_MATRIX_FIELDS = {"a_mat", "f_mat"}
+# Keys of retired model parameters that older config files still carry,
+# with the only value each accepts: its old default, which nothing read.
+_RETIRED = {
+    "safety": {"a_max": 2.5, "d_min": None, "tau1": 0.5, "tau2": 0.5, "tau3": 0.5},
+    "platoon": {"desired_gap": 10.0},
+}
 
 
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{where}' must be an object")
+    retired = _RETIRED.get(where, {})
+    for key in sorted(set(data) & set(retired)):
+        if data[key] != retired[key]:
+            raise ConfigError(
+                f"retired key '{where}.{key}' only accepts its old default "
+                f"{json.dumps(retired[key])}, got {data[key]!r}"
+            )
+    data = {key: value for key, value in data.items() if key not in retired}
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -171,8 +188,6 @@ def _build(cls, data: dict, where: str):
     for key, value in data.items():
         if key in _NESTED and cls is ScenarioConfig:
             kwargs[key] = _build(_NESTED[key], value, key)
-        elif key in _MATRIX_FIELDS and value is not None:
-            kwargs[key] = np.asarray(value, dtype=float)
         elif key == "rsu_positions":
             kwargs[key] = tuple(tuple(map(float, p)) for p in value)
         else:
@@ -194,22 +209,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     for f in dataclasses.fields(ScenarioConfig):
         value = getattr(cfg, f.name)
         if f.name in _NESTED:
-            sub = {}
-            for sf in dataclasses.fields(type(value)):
-                if not sf.init:
-                    continue
-                sval = getattr(value, sf.name)
-                if sf.name in _MATRIX_FIELDS:
-                    default = (default_a_mat if sf.name == "a_mat" else default_f_mat)(
-                        value.dt
-                    )
-                    if np.array_equal(sval, default):
-                        continue
-                    sval = np.asarray(sval).tolist()
-                if isinstance(sval, LossKind) or isinstance(sval, LinkState):
-                    sval = sval.value
-                sub[sf.name] = sval
-            out[f.name] = sub
+            out[f.name] = {sf.name: getattr(value, sf.name) for sf in dataclasses.fields(value)}
         elif f.name == "rsu_positions":
             out[f.name] = [list(p) for p in value]
         else:

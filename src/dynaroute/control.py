@@ -1,5 +1,5 @@
-"""Per-vehicle distributed MPC: stage cost, self-deviation constraint, lossy
-state propagation, the per-follower control problem and a candidate-search
+"""Per-vehicle distributed MPC: the per-follower control problem, the
+candidate rollout, feasibility and cost kernels, and a candidate-search
 solver.
 
 The solver evaluates a candidate input set (shifted previous solution,
@@ -34,24 +34,9 @@ DETERMINISTIC_CANDIDATES = 4
 MAX_BRAKE_CANDIDATE = 2
 
 
-def default_a_mat(dt: float) -> np.ndarray:
-    """Position/speed chain of the heading-zero linearization."""
-    a = np.eye(STATE_DIM)
-    a[0, 3] = dt
-    return a
-
-
-def default_f_mat(dt: float) -> np.ndarray:
-    f = np.zeros((STATE_DIM, INPUT_DIM))
-    f[2, 0] = dt
-    f[3, 1] = dt
-    return f
-
-
 @dataclass
 class PlatoonConfig:
-    """Horizon, cost weights, state-update matrices and box bounds of the
-    per-vehicle controller.
+    """Horizon, cost weights and box bounds of the per-vehicle controller.
 
     comfort_r / comfort_a bound the candidate search (ride-comfort envelope);
     r_max / a_max remain the hard actuator limits used by clamp_input.
@@ -59,13 +44,10 @@ class PlatoonConfig:
 
     horizon: int = 10
     dt: float = 0.1
-    desired_gap: float = 10.0
     weight_r: float = 0.2
     weight_f: float = 0.5
     weight_g: float = 1.0
     gamma: float = 1.0
-    a_mat: np.ndarray | None = None
-    f_mat: np.ndarray | None = None
     v_min: float = 0.0
     v_max: float = 40.0
     psi_min: float = -math.pi / 2
@@ -92,44 +74,12 @@ class PlatoonConfig:
                 f"n_candidates must be at least {DETERMINISTIC_CANDIDATES}, "
                 "the deterministic candidates"
             )
-        if self.a_mat is None:
-            self.a_mat = default_a_mat(self.dt)
-        else:
-            self.a_mat = np.asarray(self.a_mat, dtype=float)
-        if self.f_mat is None:
-            self.f_mat = default_f_mat(self.dt)
-        else:
-            self.f_mat = np.asarray(self.f_mat, dtype=float)
         self.comfort_r = min(self.comfort_r, self.r_max)
         self.comfort_a = min(self.comfort_a, self.a_max)
 
 
 def state_vector(state: VehicleState) -> np.ndarray:
     return np.array([state.px, state.py, state.psi, state.v], dtype=float)
-
-
-def state_from_vector(vec: Sequence[float]) -> VehicleState:
-    return VehicleState(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]))
-
-
-@dataclass(frozen=True)
-class PredictedTrajectory:
-    """Solver output: states[0] is the measured current state, followed by
-    horizon predicted states under the paired inputs."""
-
-    states: tuple
-    inputs: tuple
-
-    def __post_init__(self):
-        if len(self.states) != len(self.inputs) + 1:
-            raise ValueError("need exactly one more state than inputs")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.inputs)
-
-    def state_array(self) -> np.ndarray:
-        return np.array([state_vector(s) for s in self.states])
 
 
 @dataclass
@@ -245,68 +195,6 @@ def build_control_problem(
         reference = extrapolate_states(state, t, dt)
     safety_ctx = None if safety is None else SafetyContext(safety, predecessor)
     return ControlProblem(state, reference, neighbors, safety_ctx)
-
-
-def stage_cost(
-    inp: ControlInput,
-    predicted_state: VehicleState,
-    reference_state: VehicleState,
-    neighbor_states: Sequence[tuple],
-    config: PlatoonConfig,
-) -> float:
-    """One-slot cost: input effort + reference deviation + formation error.
-
-    neighbor_states holds (neighbor_state, desired_offset) pairs with the
-    offset expressed in state space.
-    """
-    u = math.hypot(inp.r, inp.a)
-    pred = state_vector(predicted_state)
-    ref_err = float(np.linalg.norm(pred - state_vector(reference_state)))
-    gap_err = 0.0
-    for neighbor, offset in neighbor_states:
-        nvec = neighbor if isinstance(neighbor, np.ndarray) else state_vector(neighbor)
-        gap_err += float(np.linalg.norm(pred - nvec - np.asarray(offset, dtype=float)))
-    return config.weight_r * u + config.weight_f * ref_err + config.weight_g * gap_err
-
-
-def self_deviation_ok(
-    new_traj: PredictedTrajectory,
-    old_traj: PredictedTrajectory,
-    gamma: float,
-    config: PlatoonConfig,
-) -> bool:
-    """New predictions may drift from the previous plan by at most 1/gamma of
-    the previous slot-shifted drift."""
-    if new_traj.horizon != old_traj.horizon:
-        raise ValueError("trajectories must share the horizon")
-    new = new_traj.state_array()
-    old = old_traj.state_array()
-    dev = config.weight_g * np.linalg.norm(new - old, axis=1)
-    t = new_traj.horizon
-    return gamma * float(dev[1:t].sum()) <= float(dev[0 : t - 1].sum()) + 1e-12
-
-
-def propagate_state(
-    x_i: np.ndarray,
-    u_i: np.ndarray,
-    x_j_last: np.ndarray,
-    delta: int,
-    config: PlatoonConfig,
-) -> np.ndarray:
-    """Lossy affine state update x+ = A x + F u + delta * (x_j - x_i)."""
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
-    x_i = np.asarray(x_i, dtype=float)
-    u_i = np.asarray(u_i, dtype=float)
-    x_j_last = np.asarray(x_j_last, dtype=float)
-    if x_i.shape != (STATE_DIM,) or u_i.shape != (INPUT_DIM,):
-        raise ValueError(
-            f"expected state dim {STATE_DIM} and input dim {INPUT_DIM}, "
-            f"got {x_i.shape} and {u_i.shape}"
-        )
-    if x_j_last.shape != (STATE_DIM,):
-        raise ValueError(f"neighbor state has shape {x_j_last.shape}")
-    return config.a_mat @ x_i + config.f_mat @ u_i + delta * (x_j_last - x_i)
 
 
 def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Nonholonomic vehicle model, input saturation, collision cones and the
-mode-dependent barrier safety functions with the discrete-time CBF condition.
+"""Nonholonomic vehicle model, input saturation and the following-mode
+barrier safety function with the discrete-time CBF condition.
 
 All functions here are pure; state objects are immutable.
 """
@@ -8,22 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
-
-# Below this relative speed the approach-angle is undefined and the pair is
-# treated as non-approaching (safe).
-REL_SPEED_EPS = 1e-9
-
-
-class ManeuverMode(Enum):
-    """Driving behavior selecting which safety distance applies."""
-
-    FOLLOWING = "following"
-    BRAKING = "braking"
-    LANE_CHANGE = "lane_change"
 
 
 def wrap_angle(psi: float) -> float:
@@ -48,9 +35,6 @@ class VehicleState:
     def position(self) -> tuple[float, float]:
         return (self.px, self.py)
 
-    def velocity_vector(self) -> tuple[float, float]:
-        return (self.v * math.cos(self.psi), self.v * math.sin(self.psi))
-
     def is_finite(self) -> bool:
         return all(map(math.isfinite, (self.px, self.py, self.psi, self.v)))
 
@@ -65,32 +49,17 @@ class ControlInput:
 
 @dataclass(frozen=True)
 class SafetyParams:
-    """Geometry and response-time parameters of the barrier safety functions.
-
-    d_min defaults to 2*w so the velocity cone protects the same disk the
-    barrier threshold (2W)^2 defines.
-    """
+    """Vehicle geometry of the barrier and the CBF decay rate alpha."""
 
     w: float = 2.0
     l_w: float = 4.0
-    tau1: float = 0.5
-    tau2: float = 0.5
-    tau3: float = 0.5
-    a_max: float = 2.5
-    d_min: float | None = None
     alpha: float = 0.5
 
     def __post_init__(self):
         if self.w <= 0 or self.l_w <= 0:
             raise ValueError("w and l_w must be positive")
-        if min(self.tau1, self.tau2, self.tau3) < 0:
-            raise ValueError("response times must be nonnegative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-
-    @property
-    def cone_radius(self) -> float:
-        return 2.0 * self.w if self.d_min is None else self.d_min
 
 
 def step(state: VehicleState, inp: ControlInput, dt: float) -> VehicleState:
@@ -122,98 +91,19 @@ def clamp_input(inp: ControlInput, r_max: float, a_max: float) -> ControlInput:
     return replace(inp, r=r, a=a)
 
 
-def collision_cone_half_angle(d_min: float, d_j: float) -> float:
-    """Half-angle of the collision cone toward a target at distance d_j.
-
-    Raises ValueError when the target is already inside the protected disk;
-    callers must treat that as unsafe.
-    """
-    if d_min <= 0:
-        raise ValueError("d_min must be positive")
-    if d_j < d_min:
-        raise ValueError(
-            f"target at {d_j:.3f} m already inside safety disk of radius {d_min:.3f} m"
-        )
-    return math.asin(min(1.0, d_min / d_j))
-
-
-def relative_bearing_angle(
-    v_rel: Sequence[float], r_j: Sequence[float]
-) -> float:
-    """Angle between the relative velocity and the displacement to the target."""
-    vn = math.hypot(v_rel[0], v_rel[1])
-    rn = math.hypot(r_j[0], r_j[1])
-    if vn <= REL_SPEED_EPS:
-        raise ValueError("zero relative velocity: no approach defined")
-    if rn <= 0:
-        raise ValueError("zero displacement vector")
-    cosang = (v_rel[0] * r_j[0] + v_rel[1] * r_j[1]) / (vn * rn)
-    return math.acos(min(1.0, max(-1.0, cosang)))
-
-
-def velocity_cone_safe(lam: float, beta: float) -> bool:
-    """The pair cannot collide while the approach angle stays >= the cone half-angle."""
-    return lam >= beta
-
-
-def pair_velocity_cone_safe(
-    p_i: Sequence[float],
-    v_i: Sequence[float],
-    p_j: Sequence[float],
-    v_j: Sequence[float],
-    d_min: float,
-) -> bool:
-    """Composite cone check between two vehicles with the documented edge cases.
-
-    Inside the protected disk -> unsafe; negligible relative velocity -> safe
-    (no approach); otherwise compare bearing angle against the cone half-angle.
-    """
-    r_j = (p_j[0] - p_i[0], p_j[1] - p_i[1])
-    d_j = math.hypot(r_j[0], r_j[1])
-    if d_j < d_min:
-        return False
-    v_rel = (v_i[0] - v_j[0], v_i[1] - v_j[1])
-    if math.hypot(v_rel[0], v_rel[1]) <= REL_SPEED_EPS:
-        return True
-    lam = relative_bearing_angle(v_rel, r_j)
-    beta = collision_cone_half_angle(d_min, d_j)
-    return velocity_cone_safe(lam, beta)
-
-
-def safety_distance(
-    mode: ManeuverMode, delta_p: float, v: float, params: SafetyParams
-) -> float:
-    """Predicted collision-avoidance distance for the given maneuver mode.
-
-    Braking adds the stopping headway; lane change additionally covers the
-    two-stage acceleration of the maneuver.
-    """
-    base = (delta_p - params.l_w) ** 2
-    if mode is ManeuverMode.FOLLOWING:
-        return math.sqrt(base)
-    d1 = v * params.tau1 + v * v / (2.0 * params.a_max)
-    if mode is ManeuverMode.BRAKING:
-        return math.sqrt(base + d1)
-    d2 = v * params.tau2 + 0.5 * params.a_max * params.tau2**2
-    d3 = ((v + params.a_max * params.tau3) ** 2 - v * v) / (2.0 * params.a_max)
-    return math.sqrt(base + d2 + d3)
-
-
 def safety_function(
-    mode: ManeuverMode,
-    p_i: Sequence[float],
-    p_f: Sequence[float],
-    v: float,
-    params: SafetyParams,
+    p_i: Sequence[float], p_f: Sequence[float], params: SafetyParams
 ) -> float:
-    """Barrier value h = D_mode^2 - (2W)^2; positive means safe margin."""
+    """Following-mode barrier h = D^2 - (2W)^2 toward the vehicle ahead at
+    p_f, with safety distance D = |delta_p - l_w|; positive means safe margin."""
     delta_p = math.hypot(p_f[0] - p_i[0], p_f[1] - p_i[1])
-    d = safety_distance(mode, delta_p, v, params)
+    d = math.sqrt((delta_p - params.l_w) ** 2)
     return d * d - (2.0 * params.w) ** 2
 
 
 def cbf_condition_holds(h_next: float, h_curr: float, alpha: float) -> bool:
-    """Discrete-time CBF decrease condition h(k+1) - h(k) >= -alpha*h(k)."""
+    """Discrete-time CBF decrease condition h(k+1) - h(k) >= -alpha*h(k),
+    with the 1e-9 slack control.feasibility_mask also allows."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return h_next - h_curr >= -alpha * h_curr
+    return h_next - h_curr >= -alpha * h_curr - 1e-9

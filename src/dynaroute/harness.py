@@ -37,7 +37,13 @@ from .control import (
     formation_feedback_input,
     solve_dmpc,
 )
-from .dynamics import ManeuverMode, VehicleState, clamp_input, safety_function, step
+from .dynamics import (
+    VehicleState,
+    cbf_condition_holds,
+    clamp_input,
+    safety_function,
+    step,
+)
 from .link_metrics import NodeStatus
 from .optimizer import (
     GaParams,
@@ -701,17 +707,15 @@ def _record(world: World, log: MetricsLog, k: int, delivered_bits_by_source: dic
                 collision = True
             pair = (pred.vid, agent.vid)
             h = safety_function(
-                ManeuverMode.FOLLOWING,
                 (agent.state.px, agent.state.py),
                 (pred.state.px, pred.state.py),
-                agent.state.v,
                 config.safety,
             )
             series = log.h_series.setdefault(pair, [])
             series.append(h)
             if len(series) >= 2:
-                ok = series[-1] - series[-2] >= -config.safety.alpha * series[-2] - 1e-9
-                log.cbf_ok_series.setdefault(pair, []).append(bool(ok))
+                ok = cbf_condition_holds(series[-1], series[-2], config.safety.alpha)
+                log.cbf_ok_series.setdefault(pair, []).append(ok)
         leader = world.vehicles[agent.vid - agent.index]
         ref_v = leader.state.v
         ref_px = leader.state.px - agent.index * config.desired_gap

@@ -1,5 +1,5 @@
-"""Node- and link-level transmission metrics and the hop-value aggregation
-behind the path score that ranks candidate routes (scheduling.path_score).
+"""Node- and link-level transmission metrics behind the path score that
+ranks candidate routes (scheduling.path_scores).
 """
 
 from __future__ import annotations
@@ -103,14 +103,6 @@ def hop_alignment(
     return min(max(gained / hop_len, 0.0), 1.0)
 
 
-def velocity_variance(velocities: Sequence[float]) -> float:
-    """Population standard deviation of the path speeds."""
-    if not velocities:
-        raise ValueError("velocities must be non-empty")
-    mean = sum(velocities) / len(velocities)
-    return math.sqrt(sum((v - mean) ** 2 for v in velocities) / len(velocities))
-
-
 def node_weight(
     status: int,
     n_path: int,
@@ -126,27 +118,3 @@ def node_weight(
         + weights.kappa2 * n_path
         + weights.kappa3 * reliability
     )
-
-
-def aggregate_hop_values(values: Sequence[float]) -> float:
-    """Combine per-hop values along a path (product aggregation)."""
-    total = 1.0
-    for v in values:
-        total *= v
-    return total
-
-
-def normalized_hop_aggregate(values: Sequence[float]) -> float:
-    """Hop-count-normalized combination: the geometric mean of the hop values.
-
-    The raw product grows by orders of magnitude per added hop once the
-    lifetime cap and dispersion floor kick in (near-equal platoon speeds),
-    so a product ranking would always prefer the longest admissible path;
-    the geometric mean keeps scores comparable across hop counts.
-    """
-    if not values:
-        return 0.0
-    total = aggregate_hop_values(values)
-    if total <= 0:
-        return 0.0
-    return total ** (1.0 / len(values))

@@ -243,15 +243,6 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
         ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
 
 
-def dominates(a: Individual, b: Individual) -> bool:
-    """Feasible-first Pareto dominance on (Y, -J)."""
-    if a.feasible != b.feasible:
-        return a.feasible
-    no_worse = a.objective_y >= b.objective_y and a.objective_j <= b.objective_j
-    better = a.objective_y > b.objective_y or a.objective_j < b.objective_j
-    return no_worse and better
-
-
 def non_dominated_sort(population: Sequence[Individual]) -> list:
     """Fast non-dominated sort; assigns ranks and returns the fronts.
 

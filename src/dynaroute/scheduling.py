@@ -198,13 +198,14 @@ def path_score(topology: TopologySnapshot, hops: Sequence) -> float:
     nodes, floored at SIGMA_SCORE_FLOOR) times the end-to-end delivery
     probability per channel use: relaying only scores higher when the direct
     link is genuinely poor enough to pay for the extra transmissions.
-    path_scores computes it with the float operations of
-    link_metrics.velocity_variance and normalized_hop_aggregate, in their
-    order.
+    path_scores computes it with the float operations of the scalar
+    references velocity_variance and normalized_hop_aggregate in
+    tests/oracles.py, in their order.
     """
     return path_scores(topology, (hops,))[0]
 
 
+# kept only because bench/tracer.py spans it by name; the simulation never calls it
 def build_path_candidate(
     topology: TopologySnapshot, hops: Sequence
 ) -> PathCandidate:
@@ -240,6 +241,7 @@ def _extend_paths(adjacency: dict, destination, path: tuple, hops_left: int, fou
             _extend_paths(adjacency, destination, (*path, nxt), hops_left - 1, found)
 
 
+# kept only because bench/tracer.py spans it by name; the simulation never calls it
 def enumerate_paths(
     topology: TopologySnapshot, source, destination, max_hops: int
 ) -> list:

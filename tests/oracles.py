@@ -2,12 +2,15 @@
 per-follower, per-problem, per-member, per-path and per-packet loops that
 the table-driven and batched code in `dynaroute` must reproduce exactly
 (same placements, same float bits, same front order, same niche picks, same
-kept paths, same routes).
+kept paths, same routes), and the scalar formulas (stage cost, path speed
+dispersion, hop aggregation, pairwise dominance) the vectorized kernels
+compute.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -19,19 +22,12 @@ from dynaroute.control import (
     formation_feedback_input,
     neighbor_targets,
     rollout_candidates,
-    state_from_vector,
     state_vector,
     trajectory_costs,
 )
-from dynaroute.dynamics import ControlInput, clamp_input
-from dynaroute.link_metrics import (
-    PathCandidate,
-    hop_alignment,
-    normalized_hop_aggregate,
-    staying_time,
-    velocity_variance,
-)
-from dynaroute.optimizer import JointContext, dominates
+from dynaroute.dynamics import ControlInput, VehicleState, clamp_input
+from dynaroute.link_metrics import PathCandidate, hop_alignment, staying_time
+from dynaroute.optimizer import Individual, JointContext
 from dynaroute.scheduling import (
     SIGMA_SCORE_FLOOR,
     Packet,
@@ -41,6 +37,74 @@ from dynaroute.scheduling import (
     _packet_options,
     hop_slots,
 )
+
+
+def state_from_vector(vec: Sequence[float]) -> VehicleState:
+    return VehicleState(float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]))
+
+
+def stage_cost(
+    inp: ControlInput,
+    predicted_state: VehicleState,
+    reference_state: VehicleState,
+    neighbor_states: Sequence[tuple],
+    config: PlatoonConfig,
+) -> float:
+    """One-slot cost: input effort + reference deviation + formation error;
+    control.trajectory_costs sums it over the horizon.
+
+    neighbor_states holds (neighbor_state, desired_offset) pairs with the
+    offset expressed in state space.
+    """
+    u = math.hypot(inp.r, inp.a)
+    pred = state_vector(predicted_state)
+    ref_err = float(np.linalg.norm(pred - state_vector(reference_state)))
+    gap_err = 0.0
+    for neighbor, offset in neighbor_states:
+        nvec = neighbor if isinstance(neighbor, np.ndarray) else state_vector(neighbor)
+        gap_err += float(np.linalg.norm(pred - nvec - np.asarray(offset, dtype=float)))
+    return config.weight_r * u + config.weight_f * ref_err + config.weight_g * gap_err
+
+
+def velocity_variance(velocities: Sequence[float]) -> float:
+    """Population standard deviation of the path speeds."""
+    if not velocities:
+        raise ValueError("velocities must be non-empty")
+    mean = sum(velocities) / len(velocities)
+    return math.sqrt(sum((v - mean) ** 2 for v in velocities) / len(velocities))
+
+
+def aggregate_hop_values(values: Sequence[float]) -> float:
+    """Combine per-hop values along a path (product aggregation)."""
+    total = 1.0
+    for v in values:
+        total *= v
+    return total
+
+
+def normalized_hop_aggregate(values: Sequence[float]) -> float:
+    """Hop-count-normalized combination: the geometric mean of the hop values.
+
+    The raw product grows by orders of magnitude per added hop once the
+    lifetime cap and dispersion floor kick in (near-equal platoon speeds),
+    so a product ranking would always prefer the longest admissible path;
+    the geometric mean keeps scores comparable across hop counts.
+    """
+    if not values:
+        return 0.0
+    total = aggregate_hop_values(values)
+    if total <= 0:
+        return 0.0
+    return total ** (1.0 / len(values))
+
+
+def dominates(a: Individual, b: Individual) -> bool:
+    """Feasible-first Pareto dominance on (Y, -J), one pair at a time."""
+    if a.feasible != b.feasible:
+        return a.feasible
+    no_worse = a.objective_y >= b.objective_y and a.objective_j <= b.objective_j
+    better = a.objective_y > b.objective_y or a.objective_j < b.objective_j
+    return no_worse and better
 
 
 def decode_schedule(ctx: JointContext, routing_genes) -> ScheduleDecision:

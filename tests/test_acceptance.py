@@ -23,7 +23,6 @@ from dynaroute.harness import (
 from dynaroute.link_metrics import NodeStatus
 from dynaroute.optimizer import (
     Individual,
-    dominates,
     non_dominated_sort,
     reference_points,
 )
@@ -35,6 +34,7 @@ from dynaroute.scheduling import (
     solve_schedule_greedy,
 )
 from dynaroute.channel import LinkSnapshot
+from oracles import dominates
 
 N_SEEDS = 20
 RUNTIME_TARGET_S = 60.0

@@ -10,7 +10,6 @@ from dynaroute.channel import (
     LossKind,
     LossProcess,
     markov_step,
-    multi_slot_success_prob,
     path_loss_los,
     relative_distance,
     sample_delivery,
@@ -85,17 +84,6 @@ def test_slot_success_prob_strictly_decreasing(theta, n, dist):
     assert slot_success_prob(theta * 1.5, n, params, dist) < base
     assert slot_success_prob(theta, n + 1, params, dist) < base
     assert slot_success_prob(theta, n, params, dist * 1.5) < base
-
-
-def test_multi_slot_product():
-    assert multi_slot_success_prob([1.0, 1.0, 1.0]) == 1.0
-    assert multi_slot_success_prob([0.5, 0.5]) == 0.25
-    assert multi_slot_success_prob([]) == 1.0
-
-
-@given(ps=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
-def test_multi_slot_never_exceeds_min(ps):
-    assert multi_slot_success_prob(ps) <= min(ps) + 1e-12
 
 
 def test_sample_delivery_degenerate_probs():

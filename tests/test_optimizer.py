@@ -19,7 +19,6 @@ from dynaroute.optimizer import (
     crossover_mutate,
     crowding_distance,
     decode_schedule,
-    dominates,
     evaluate_population,
     evolve,
     non_dominated_sort,
@@ -28,6 +27,7 @@ from dynaroute.optimizer import (
     tournament_select,
 )
 from dynaroute.scheduling import Packet, TopologySnapshot, check_feasible
+from oracles import dominates
 
 
 def make_individual(y: float, j: float, feasible: bool = True) -> Individual:
