@@ -58,8 +58,6 @@ class LinkSnapshot:
     """Per-pair channel and mobility quantities at one slot."""
 
     distance: float
-    path_loss: float
-    sinr: float
     rate: float
     delivery_prob: float
 

@@ -166,6 +166,7 @@ _NESTED = {
 _RETIRED = {
     "safety": {"a_max": 2.5, "d_min": None, "tau1": 0.5, "tau2": 0.5, "tau3": 0.5},
     "platoon": {"desired_gap": 10.0},
+    "ga": {"combined_crowding": True, "rng_seed": 0},
 }
 
 

@@ -23,6 +23,8 @@ from .dynamics import (
     ControlInput,
     SafetyParams,
     VehicleState,
+    cbf_condition_holds,
+    safety_function,
     wrap_angle,
 )
 
@@ -219,13 +221,6 @@ def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
     return states
 
 
-def _h_series(ego: np.ndarray, partner: np.ndarray, params: SafetyParams) -> np.ndarray:
-    """Following-mode barrier values along predicted trajectories; ego
-    (C, T+1, 4), partner (T+1, 4) or (C, T+1, 4)."""
-    gap = np.hypot(partner[..., 0] - ego[:, :, 0], partner[..., 1] - ego[:, :, 1])
-    return (gap - params.l_w) ** 2 - (2.0 * params.w) ** 2
-
-
 def feasibility_mask(
     states: np.ndarray,
     inputs: np.ndarray,
@@ -252,9 +247,8 @@ def feasibility_mask(
     ok &= (states[:, :, 2] >= config.psi_min - 1e-9).all(axis=1)
     ok &= (states[:, :, 2] <= config.psi_max + 1e-9).all(axis=1)
     if safety_ctx is not None and safety_ctx.predecessor is not None:
-        alpha = safety_ctx.params.alpha
-        h = _h_series(states, safety_ctx.predecessor, safety_ctx.params)
-        cbf_ok = (h[:, 1:] - h[:, :-1] >= -alpha * h[:, :-1] - 1e-9).all(axis=1)
+        h = safety_function(states, safety_ctx.predecessor, safety_ctx.params)
+        cbf_ok = cbf_condition_holds(h[:, 1:], h[:, :-1], safety_ctx.params.alpha).all(axis=1)
         if safety_ctx.has_predecessor is not None:
             cbf_ok |= ~safety_ctx.has_predecessor
         ok &= cbf_ok
@@ -356,7 +350,7 @@ def formation_feedback_input(
     current_state: VehicleState, reference: np.ndarray, config: PlatoonConfig
 ) -> tuple[float, float]:
     """Proportional pull toward the reference point one slot ahead, clamped
-    to the comfort envelope; shared warm start of the solver and the GA."""
+    to the comfort envelope."""
     ref1 = reference[1]
     a_fb = 0.3 * (ref1[0] - current_state.px - current_state.v * config.dt) + 0.8 * (
         ref1[3] - current_state.v
@@ -366,6 +360,21 @@ def formation_feedback_input(
         float(np.clip(r_fb, -config.comfort_r, config.comfort_r)),
         float(np.clip(a_fb, -config.comfort_a, config.comfort_a)),
     )
+
+
+def feedback_plans(problems: Sequence[ControlProblem], config: PlatoonConfig) -> np.ndarray:
+    """(V, T, 2) plans holding each problem's formation feedback input over
+    the horizon: a candidate of the solver and a seed genome of the GA."""
+    feedback = np.array(
+        [formation_feedback_input(p.current_state, p.reference, config) for p in problems]
+    ).reshape(-1, 1, INPUT_DIM)
+    return np.repeat(feedback, config.horizon, axis=1)
+
+
+def shift_plans(inputs: np.ndarray) -> np.ndarray:
+    """Input plans (..., T, 2) advanced by one slot: the consumed first input
+    is dropped and the last one repeated."""
+    return np.concatenate([inputs[..., 1:, :], inputs[..., -1:, :]], axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,28 +427,20 @@ def solve_dmpc(
     batch = ControlBatch.build(problems, t)
 
     has_plan = np.array([plan is not None for plan in prev_plans], dtype=bool)
-    base = np.zeros((n, t, INPUT_DIM))
+    prev_inputs = np.zeros((n, t, INPUT_DIM))
     prev_states = np.zeros((n, t + 1, STATE_DIM))
     for f, plan in enumerate(prev_plans):
         if plan is not None:
-            # warm start: drop the consumed first input and repeat the last one
-            base[f, :-1] = plan.inputs[1:]
-            base[f, -1] = plan.inputs[-1]
+            prev_inputs[f] = plan.inputs
             prev_states[f] = plan.states
+    base = shift_plans(prev_inputs)
     # the slot-aligned previous plan's reference deviation over T-1 slots
     budgets = (
         config.weight_g
         * np.linalg.norm(prev_states[:, 1:t] - batch.references[:, : t - 1], axis=2)
     ).sum(axis=1)
 
-    # formation feedback held constant over the horizon
-    feedback = np.repeat(
-        np.array(
-            [formation_feedback_input(p.current_state, p.reference, config) for p in problems]
-        )[:, None, :],
-        t,
-        axis=1,
-    )
+    feedback = feedback_plans(problems, config)
     brake = np.broadcast_to([0.0, -config.comfort_a], (n, t, INPUT_DIM))
     deterministic = np.stack([base, np.zeros_like(base), brake, feedback], axis=1)
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,19 +93,23 @@ def clamp_input(inp: ControlInput, r_max: float, a_max: float) -> ControlInput:
     return replace(inp, r=r, a=a)
 
 
-def safety_function(
-    p_i: Sequence[float], p_f: Sequence[float], params: SafetyParams
-) -> float:
+def safety_function(p_i: ArrayLike, p_f: ArrayLike, params: SafetyParams) -> np.ndarray:
     """Following-mode barrier h = D^2 - (2W)^2 toward the vehicle ahead at
-    p_f, with safety distance D = |delta_p - l_w|; positive means safe margin."""
-    delta_p = math.hypot(p_f[0] - p_i[0], p_f[1] - p_i[1])
-    d = math.sqrt((delta_p - params.l_w) ** 2)
-    return d * d - (2.0 * params.w) ** 2
+    p_f, with safety distance D = |delta_p| - l_w; positive means safe margin.
+
+    p_i and p_f broadcast over leading axes; x and y are the first two
+    entries of the last axis, so planar points and (..., 4) state rows both
+    work. The solver's CBF check and the run's record both evaluate h here.
+    """
+    p_i = np.asarray(p_i, dtype=float)
+    p_f = np.asarray(p_f, dtype=float)
+    gap = np.hypot(p_f[..., 0] - p_i[..., 0], p_f[..., 1] - p_i[..., 1])
+    return (gap - params.l_w) ** 2 - (2.0 * params.w) ** 2
 
 
-def cbf_condition_holds(h_next: float, h_curr: float, alpha: float) -> bool:
-    """Discrete-time CBF decrease condition h(k+1) - h(k) >= -alpha*h(k),
-    with the 1e-9 slack control.feasibility_mask also allows."""
+def cbf_condition_holds(h_next: ArrayLike, h_curr: ArrayLike, alpha: float):
+    """Discrete-time CBF decrease condition h(k+1) - h(k) >= -alpha*h(k)
+    with a 1e-9 slack, elementwise over arrays of barrier values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     return h_next - h_curr >= -alpha * h_curr - 1e-9

@@ -34,7 +34,8 @@ from .control import (
     NeighborRecord,
     NeighborView,
     build_control_problem,
-    formation_feedback_input,
+    feedback_plans,
+    shift_plans,
     solve_dmpc,
 )
 from .dynamics import (
@@ -46,12 +47,11 @@ from .dynamics import (
 )
 from .link_metrics import NodeStatus
 from .optimizer import (
-    GaParams,
     Individual,
     JointContext,
+    best_of,
     decode_schedule,
     evolve,
-    scalarize_select,
 )
 from .scheduling import Packet, TopologySnapshot
 
@@ -330,15 +330,12 @@ def build_topology(world: World, pending: dict) -> TopologySnapshot:
         if planar <= 0 or planar > config.comm_range:
             continue
         offset = params.l_v2i_0 if (a >= RSU_ID_BASE or b >= RSU_ID_BASE) else params.l0
-        pl = path_loss_los(planar, params)
-        snr = sinr_db(params.p_tx, pl, params.n_noise)
+        snr = sinr_db(params.p_tx, path_loss_los(planar, params), params.n_noise)
         if snr < params.xi0:
             continue
         dist = relative_distance(pa, pb, offset)
         links[(a, b)] = LinkSnapshot(
             distance=dist,
-            path_loss=pl,
-            sinr=snr,
             rate=shannon_rate(params.bandwidth, snr),
             delivery_prob=slot_success_prob(
                 config.traffic.size_bits, contenders, params, dist
@@ -455,19 +452,9 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
         build_control_problem(f.state, f.view, config.platoon, config.safety)
         for f in world.followers
     ]
-    feedback_seed = np.stack(
-        [
-            np.tile(
-                formation_feedback_input(prob.current_state, prob.reference, config.platoon),
-                (config.platoon.horizon, 1),
-            )
-            for prob in problems
-        ]
-    )
-    seeds = [feedback_seed]
+    seeds = [feedback_plans(problems, config.platoon)]
     if world.champion is not None:
-        genes = world.champion.control_genes
-        seeds.append(np.concatenate([genes[:, 1:, :], genes[:, -1:, :]], axis=1))
+        seeds.append(shift_plans(world.champion.control_genes))
     ctx = JointContext(
         platoon=config.platoon,
         problems=problems,
@@ -478,33 +465,19 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
         schedule_end=k + config.traffic.deadline_slots,
         seed_control=seeds,
     )
-    ga_params = GaParams(
-        population=config.ga.population,
-        generations=config.ga.generations,
-        crossover_rate=config.ga.crossover_rate,
-        mutation_rate=config.ga.mutation_rate,
-        tournament_size=config.ga.tournament_size,
-        rng_seed=int(np.random.SeedSequence((world.seed, 3, k)).generate_state(1)[0]),
-        combined_crowding=config.ga.combined_crowding,
-        divisions=config.ga.divisions,
-    )
-    front = evolve(ctx, ga_params)
-    world.champion = champion = scalarize_select([i for i in front if i.feasible] or front)
+    rng_seed = int(np.random.SeedSequence((world.seed, 3, k)).generate_state(1)[0])
+    world.champion = champion = best_of(evolve(ctx, config.ga, rng_seed))
     decision = decode_schedule(ctx, champion.routing_genes)
     routed = {pid: cand for (pid, _k0), cand in decision.route_assign.items()}
     for ps in ga_packets:
         cand = routed.get(ps.packet.id)
-        if cand is not None and cand.hops[0] == ps.holder:
+        if cand is not None:
             ps.path = cand.hops
             ps.path_pos = 0
             ps.path_value = cand.path_value
     for f_idx, agent in enumerate(world.followers):
         agent.held_inputs = [
-            clamp_input(
-                ControlInput(float(r), float(a)),
-                config.platoon.r_max, config.platoon.a_max,
-            )
-            for r, a in champion.control_genes[f_idx]
+            ControlInput(float(r), float(a)) for r, a in champion.control_genes[f_idx]
         ]
         agent.held_offset = 0
 
@@ -517,10 +490,7 @@ def _apply_controls(world: World, k: int) -> None:
     config = world.config
     for agent in world.vehicles:
         if agent.is_leader:
-            agent.applied = clamp_input(
-                ControlInput(0.0, lead_acceleration(k * config.dt)),
-                config.platoon.r_max, config.platoon.a_max,
-            )
+            agent.applied = ControlInput(0.0, lead_acceleration(k * config.dt))
     if world.mode == "dynaroute":
         for agent in world.followers:
             if agent.held_inputs and (agent.view.any_delivered() or k == 0):
@@ -680,6 +650,8 @@ def _expire(world: World, k: int) -> None:
 
 
 def _advance_dynamics(world: World) -> None:
+    """Saturate each vehicle's applied input at the actuator limits, the
+    one place the plant input is clamped, and step the vehicle."""
     config = world.config.platoon
     for agent in world.vehicles:
         agent.applied = clamp_input(agent.applied, config.r_max, config.a_max)
@@ -691,31 +663,44 @@ def _advance_dynamics(world: World) -> None:
         agent.state = nxt
 
 
+def _record_barrier(world: World, log: MetricsLog) -> None:
+    """Append every follower's barrier value toward its predecessor, and
+    from the second slot on its CBF flag, evaluated in one call each."""
+    safety = world.config.safety
+    followers = world.followers
+    if not followers:
+        return
+    preds = [world.vehicles[agent.vid - 1] for agent in followers]
+    pairs = [(pred.vid, agent.vid) for pred, agent in zip(preds, followers)]
+    h = safety_function(
+        np.array([agent.state.position() for agent in followers]),
+        np.array([pred.state.position() for pred in preds]),
+        safety,
+    )
+    series = [log.h_series.setdefault(pair, []) for pair in pairs]
+    if series[0]:
+        prev = np.array([values[-1] for values in series])
+        flags = cbf_condition_holds(h, prev, safety.alpha).tolist()
+        for pair, ok in zip(pairs, flags):
+            log.cbf_ok_series.setdefault(pair, []).append(ok)
+    for values, value in zip(series, h.tolist()):
+        values.append(value)
+
+
 def _record(world: World, log: MetricsLog, k: int, delivered_bits_by_source: dict) -> None:
     """Append one trace row per vehicle and the follower barrier series;
     flag the run as halted when a follower reached its predecessor."""
     config = world.config
     collision = False
+    _record_barrier(world, log)
     for agent in world.vehicles:
         if agent.is_leader:
             gap = math.nan
         else:
             # signed longitudinal separation to the predecessor
-            pred = world.vehicles[agent.vid - 1]
-            gap = pred.state.px - agent.state.px
+            gap = world.vehicles[agent.vid - 1].state.px - agent.state.px
             if gap <= 0.0:
                 collision = True
-            pair = (pred.vid, agent.vid)
-            h = safety_function(
-                (agent.state.px, agent.state.py),
-                (pred.state.px, pred.state.py),
-                config.safety,
-            )
-            series = log.h_series.setdefault(pair, [])
-            series.append(h)
-            if len(series) >= 2:
-                ok = cbf_condition_holds(series[-1], series[-2], config.safety.alpha)
-                log.cbf_ok_series.setdefault(pair, []).append(ok)
         leader = world.vehicles[agent.vid - agent.index]
         ref_v = leader.state.v
         ref_px = leader.state.px - agent.index * config.desired_gap

@@ -39,8 +39,6 @@ class GaParams:
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
     tournament_size: int = 2
-    rng_seed: int = 0
-    combined_crowding: bool = True
     divisions: int = 9
 
     def __post_init__(self):
@@ -283,12 +281,12 @@ def non_dominated_sort(population: Sequence[Individual]) -> list:
     return fronts
 
 
-def crowding_distance(front: Sequence[Individual], combined: bool = True) -> list:
+def crowding_distance(front: Sequence[Individual]) -> list:
     """Per-individual diversity measure inside one front.
 
     Distance is the normalized neighbor gap on Y, DISTANCE the same on -J;
-    the default combines them by subtraction, the fallback adds them.
-    Boundary individuals on either objective get the largest finite sentinel.
+    they combine by subtraction. Boundary individuals on either objective
+    get the largest finite sentinel.
     """
     n = len(front)
     if n == 0:
@@ -312,12 +310,7 @@ def crowding_distance(front: Sequence[Individual], combined: bool = True) -> lis
 
     result = []
     for i in range(n):
-        if boundary[i]:
-            d = BOUNDARY_SENTINEL
-        elif combined:
-            d = dist_y[i] - dist_j[i]
-        else:
-            d = dist_y[i] + dist_j[i]
+        d = BOUNDARY_SENTINEL if boundary[i] else dist_y[i] - dist_j[i]
         front[i].crowding = d
         result.append(d)
     return result
@@ -494,19 +487,28 @@ def scalarize_select(front: Sequence[Individual]) -> Individual:
     return min(tied, key=Individual.genome_key) if len(tied) > 1 else tied[0]
 
 
-def evolve(ctx: JointContext, params: GaParams, stats: dict | None = None) -> list:
-    """Elitist generational loop; returns the final first front.
+def best_of(population: Sequence[Individual]) -> Individual:
+    """Champion rule: scalarize_select over the feasible members, or over
+    all of them when none is feasible."""
+    return scalarize_select([i for i in population if i.feasible] or list(population))
+
+
+def evolve(
+    ctx: JointContext, params: GaParams, rng_seed: int, stats: dict | None = None
+) -> list:
+    """Elitist generational loop seeded with rng_seed; returns the final
+    first front.
 
     The best feasible scalarized individual is explicitly protected during
     truncation, so the best known Y - J never regresses between generations.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     ref_pts = reference_points(params.divisions)
     population = _initial_population(ctx, params, rng)
     evaluate_population(population, ctx)
     fronts = non_dominated_sort(population)
     for front in fronts:
-        crowding_distance(front, combined=params.combined_crowding)
+        crowding_distance(front)
 
     if stats is not None:
         stats.setdefault("best_y_minus_j", [])
@@ -514,10 +516,6 @@ def evolve(ctx: JointContext, params: GaParams, stats: dict | None = None) -> li
 
     bounds = (ctx.platoon.comfort_r, ctx.platoon.comfort_a)
     sizes = ctx.routing_gene_sizes()
-
-    def best_of(pop):
-        feas = [i for i in pop if i.feasible] or list(pop)
-        return scalarize_select(feas)
 
     champion = best_of(population)
     for _gen in range(params.generations):
@@ -534,7 +532,7 @@ def evolve(ctx: JointContext, params: GaParams, stats: dict | None = None) -> li
         fronts = non_dominated_sort(merged)
         next_pop: list = []
         for front in fronts:
-            crowding_distance(front, combined=params.combined_crowding)
+            crowding_distance(front)
             if len(next_pop) + len(front) <= params.population:
                 next_pop.extend(front)
             else:
@@ -552,7 +550,7 @@ def evolve(ctx: JointContext, params: GaParams, stats: dict | None = None) -> li
         population = next_pop
         fronts = non_dominated_sort(population)
         for front in fronts:
-            crowding_distance(front, combined=params.combined_crowding)
+            crowding_distance(front)
         if stats is not None:
             stats["best_y_minus_j"].append(_scalarized(best_of(population)))
             stats["best_j"].append(min(i.objective_j for i in population))

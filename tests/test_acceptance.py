@@ -170,7 +170,7 @@ def _mesh_topology(rng, n):
     for i, j in itertools.permutations(range(n), 2):
         if rng.random() < 0.85:
             links[(i, j)] = LinkSnapshot(
-                distance=60.0, path_loss=90.0, sinr=25.0, rate=1e7,
+                distance=60.0, rate=1e7,
                 delivery_prob=float(0.4 + 0.6 * rng.random()),
             )
     return TopologySnapshot(

@@ -129,6 +129,8 @@ RETIRED = {
     ("safety", "tau2"): 0.5,
     ("safety", "tau3"): 0.5,
     ("platoon", "desired_gap"): 10.0,
+    ("ga", "combined_crowding"): True,
+    ("ga", "rng_seed"): 0,
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +116,27 @@ def test_cbf_condition_cases():
     assert not cbf_condition_holds(10.0 - 2e-9, 20.0, 0.5)
     with pytest.raises(ValueError):
         cbf_condition_holds(1.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("partner_shape", [(11, 4), (6, 11, 4)])
+def test_barrier_and_cbf_arrays_equal_scalar_calls(partner_shape):
+    # the solver passes (C, T+1, 4) predicted states against a (T+1, 4) or
+    # (C, T+1, 4) partner; every element carries the bits of a scalar call
+    rng = np.random.default_rng(11)
+    ego = rng.uniform(-5.0, 5.0, size=(6, 11, 4))
+    partner = rng.uniform(-5.0, 5.0, size=partner_shape)
+    partner[..., 0] += rng.uniform(2.0, 12.0, size=partner_shape[:-1])
+    h = safety_function(ego, partner, PARAMS)
+    assert h.shape == (6, 11)
+    ahead = np.broadcast_to(partner, ego.shape).tolist()
+    for c, t in np.ndindex(h.shape):
+        scalar = safety_function(ego[c, t, :2].tolist(), ahead[c][t][:2], PARAMS)
+        assert float(h[c, t]).hex() == float(scalar).hex()
+    ok = cbf_condition_holds(h[:, 1:], h[:, :-1], PARAMS.alpha)
+    assert ok.any() and not ok.all()
+    values = h.tolist()
+    for c, t in np.ndindex(ok.shape):
+        assert ok[c, t] == cbf_condition_holds(values[c][t + 1], values[c][t], PARAMS.alpha)
 
 
 @given(

@@ -130,11 +130,11 @@ SERIES = {
     ("case1-baseline", 0): "87b35e07ea7805b38f1e60aea4d03252e6088703d2b60cbd63250292d693dfe4",
     ("case1-baseline", 1): "1f45fce93a168f8727fb1be0dfa89fa5107f7b6a5111f485d33ec2f49d0bd3fc",
     ("case1-dynaroute", 0): "d23834b72000f26ad2ede7de22fe7066161690ed68d2ead8ddfaa28e10ba6717",
-    ("case1-dynaroute", 1): "99b17fe9a6c764819a355947ba5dfe25895ef99ce30a2a458b792a8a4dc73fe4",
+    ("case1-dynaroute", 1): "25bacb82516371beae053807c7bb8369bc14cea4c48384bf75d1fafd149ea71a",
     ("case2-baseline", 0): "cc54d5742be6562bda80ec875e1acd3a76b47dc8dcffbd06f6ef7aef5431a1ac",
-    ("case2-baseline", 1): "858c6e3a8cecd6e55e025cdd3401ebc89ea214296749be0c30a00cb48d074854",
-    ("case2-dynaroute", 0): "d3d521763c826f52360c24dd688be110ea1c6cacbc6c0b02e8cf0fd4200cb83d",
-    ("case2-dynaroute", 1): "56205f1b09032d505e8b54091367bb82b23b5a59f415a42ece9d42a9117d7584",
+    ("case2-baseline", 1): "c634ac6016360937209fd7facdd0c40595ee85a105a54f97eaa2f49052f7bb8c",
+    ("case2-dynaroute", 0): "149aaa7320946b957db673783abf38695dd4fa5c0152fe4ce7d02edeadb935b4",
+    ("case2-dynaroute", 1): "df5584f461917c71cc698f8dd6b50bf41b322ef80be0c097fc25885b9f1ad6a1",
 }
 
 

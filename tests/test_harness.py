@@ -9,11 +9,12 @@ import oracles
 from dynaroute.cli import main as cli_main
 from dynaroute.config import LossSettings, config_to_dict, default_config
 from dynaroute.channel import LossKind
-from dynaroute.dynamics import VehicleState
+from dynaroute.dynamics import VehicleState, cbf_condition_holds, safety_function
 from dynaroute.harness import (
     MetricsLog,
     PacketState,
     _assign_routes,
+    _record,
     baseline_route,
     build_scenario,
     build_topology,
@@ -266,6 +267,38 @@ def test_leader_velocity_follows_profile():
     assert v_by_slot[209] - v0 == pytest.approx(-1.0, abs=tol + 0.2)
 
 
+def test_recorded_barrier_equals_safety_function_of_logged_positions():
+    # the record evaluates h for all followers in one call; each value must
+    # carry the bits of safety_function on the logged positions, as a float.
+    # This run has a gap at slot 92 where math.hypot and np.hypot disagree.
+    cfg = quick_config("case2", duration=10.0)
+    log = run(cfg, seed=1, mode="baseline")
+    position = {(r["slot"], r["vehicle_id"]): (r["px"], r["py"]) for r in log.rows}
+    assert sorted(log.h_series) == sorted(log.cbf_ok_series) == [(0, 1), (1, 2), (2, 3),
+                                                                 (4, 5), (5, 6), (6, 7)]
+    for (pred, vid), series in log.h_series.items():
+        assert len(series) == log.slots_recorded
+        for k, h in enumerate(series):
+            expected = safety_function(position[(k, vid)], position[(k, pred)], cfg.safety)
+            assert type(h) is float and h.hex() == float(expected).hex()
+        flags = log.cbf_ok_series[(pred, vid)]
+        assert all(type(ok) is bool for ok in flags)
+        assert flags == [
+            cbf_condition_holds(h_next, h, cfg.safety.alpha)
+            for h, h_next in zip(series, series[1:])
+        ]
+    # no flag of that run fails; a follower closing 4 m on its predecessor
+    # between two records does, while the one behind it, falling back, passes
+    world = build_scenario(cfg)
+    log = MetricsLog(dt=cfg.dt, mode="baseline", seed=0)
+    _record(world, log, 0, {})
+    agent = world.vehicles[1]
+    agent.state = dataclasses.replace(agent.state, px=agent.state.px + 4.0)
+    _record(world, log, 1, {})
+    assert log.cbf_ok_series[(0, 1)] == [False]
+    assert log.cbf_ok_series[(1, 2)] == [True]
+
+
 def test_tracking_monitor_flags_are_logged():
     cfg = quick_config(duration=5.0)
     log = run(cfg, seed=0, mode="baseline")
@@ -375,6 +408,19 @@ def test_run_halts_and_flags_on_collision(monkeypatch):
     assert log.collision
     assert log.halted_slot is not None
     assert log.slots_recorded == log.halted_slot + 1 < cfg.n_slots
+
+
+def test_plant_saturates_the_applied_input(monkeypatch):
+    # the leaders' scheduled input exceeds the actuator limit; the plant
+    # clamps it, and the trace records what was applied
+    import dynaroute.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "LEAD_PROFILE", ((0.0, 1.0, 9.0),))
+    cfg = quick_config(duration=0.5, traffic={"load": 0.0})
+    log = run(cfg, seed=0, mode="baseline")
+    lead = [r for r in log.rows if r["vehicle_id"] == 0]
+    assert [r["a"] for r in lead] == [cfg.platoon.a_max] * 5
+    assert lead[-1]["v"] == pytest.approx(cfg.init_speed + 5 * cfg.dt * cfg.platoon.a_max)
 
 
 @pytest.mark.parametrize("command", [

@@ -16,6 +16,7 @@ from dynaroute.optimizer import (
     GaParams,
     Individual,
     JointContext,
+    best_of,
     crossover_mutate,
     crowding_distance,
     decode_schedule,
@@ -44,7 +45,7 @@ def small_topology() -> TopologySnapshot:
     links = {}
     for i, j in itertools.permutations(range(3), 2):
         links[(i, j)] = LinkSnapshot(
-            distance=60.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            distance=60.0, rate=1e7,
             delivery_prob=0.9 - 0.1 * abs(i - j),
         )
     return TopologySnapshot(
@@ -208,16 +209,6 @@ def test_crowding_degenerate_front():
     assert dists[1] == 0.0 and dists[2] == 0.0
 
 
-def test_crowding_additive_fallback():
-    front = [
-        make_individual(0.0, 0.0), make_individual(1.0, 1.0), make_individual(2.0, 2.0)
-    ]
-    combined = crowding_distance(front, combined=True)
-    additive = crowding_distance(front, combined=False)
-    assert combined[1] == pytest.approx(0.0)  # 1.0 - 1.0
-    assert additive[1] == pytest.approx(2.0)
-
-
 def test_reference_points_counts():
     assert len(reference_points(1).points) == 3
     assert len(reference_points(9).points) == 55
@@ -326,7 +317,7 @@ def test_evaluate_matches_exact_scheduler_on_toy():
     speeds = {0: 15.0, 1: 15.5, 2: 16.0, 3: 16.5}
     links = {
         (a, b): LinkSnapshot(
-            distance=80.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            distance=80.0, rate=1e7,
             delivery_prob=0.7 + 0.05 * a,
         )
         for a, b in itertools.permutations(range(4), 2)
@@ -357,21 +348,25 @@ def test_scalarize_select_rules():
     assert scalarize_select([a, b]) is a  # 4 > 3
     c, d = make_individual(5.0, 1.0), make_individual(6.0, 2.0)
     assert scalarize_select([c, d]) is c  # equal Y-J, lower J wins
+    # the champion rule prefers any feasible member, else picks among all
+    e = make_individual(9.0, 0.0, feasible=False)
+    assert best_of([e, c]) is c
+    assert best_of([e, make_individual(1.0, 0.0, feasible=False)]) is e
 
 
 def test_evolve_generations_zero_returns_initial_front():
     ctx, _ = make_context()
-    params = GaParams(population=8, generations=0, rng_seed=3)
-    front = evolve(ctx, params)
+    params = GaParams(population=8, generations=0)
+    front = evolve(ctx, params, 3)
     assert front
     assert all(ind.rank == 0 for ind in front)
 
 
 def test_evolve_deterministic_and_bounded():
     ctx, topo = make_context()
-    params = GaParams(population=8, generations=5, rng_seed=9)
-    front_a = evolve(ctx, params)
-    front_b = evolve(ctx, params)
+    params = GaParams(population=8, generations=5)
+    front_a = evolve(ctx, params, 9)
+    front_b = evolve(ctx, params, 9)
     assert [i.genome_key() for i in front_a] == [i.genome_key() for i in front_b]
     assert len(front_a) <= params.population
     cfg = ctx.platoon
@@ -384,18 +379,18 @@ def test_evolve_deterministic_and_bounded():
 
 def test_evolve_monotone_best_scalarized():
     ctx, _ = make_context()
-    params = GaParams(population=8, generations=12, rng_seed=21)
+    params = GaParams(population=8, generations=12)
     stats = {}
-    evolve(ctx, params, stats=stats)
+    evolve(ctx, params, 21, stats=stats)
     best = stats["best_y_minus_j"]
     assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(best, best[1:]))
 
 
 def test_evolve_degenerate_y_converges_to_min_j():
     ctx, _ = make_context(n_packets=0)  # Y identically zero
-    params = GaParams(population=8, generations=15, rng_seed=4)
+    params = GaParams(population=8, generations=15)
     stats = {}
-    front = evolve(ctx, params, stats=stats)
+    front = evolve(ctx, params, 4, stats=stats)
     js = stats["best_j"]
     assert all(j2 <= j1 + 1e-9 for j1, j2 in zip(js, js[1:]))
     assert min(i.objective_j for i in front) <= js[0] + 1e-9
@@ -407,8 +402,8 @@ def test_evolve_finite_routing_space_matches_enumeration():
     best_y = max(
         routing_objective(ctx, combo) for combo in itertools.product(*(range(s) for s in sizes))
     )
-    params = GaParams(population=8, generations=50, rng_seed=1)
-    front = evolve(ctx, params)
+    params = GaParams(population=8, generations=50)
+    front = evolve(ctx, params, 1)
     front_best = max(i.objective_y for i in front)
     assert front_best == pytest.approx(best_y)
 
@@ -421,7 +416,7 @@ def random_decode_context(rng) -> tuple:
     speeds = {i: float(rng.choice([15.0, 15.5, 16.0])) for i in range(n)}
     links = {
         (a, b): LinkSnapshot(
-            distance=50.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            distance=50.0, rate=1e7,
             delivery_prob=float(rng.choice([0.6, 0.8, 0.9])),
         )
         for a, b in itertools.permutations(range(n - 1), 2)
@@ -511,14 +506,15 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
             stats,
         )
 
+    params = GaParams(population=8, generations=6)
     runs = []
     for ctx in contexts:
-        params = GaParams(population=8, generations=6, rng_seed=int(rng.integers(1 << 30)))
+        seed = int(rng.integers(1 << 30))
         stats: dict = {}
-        front = evolve(ctx, params, stats)
-        champion = scalarize_select([i for i in front if i.feasible] or front)
+        front = evolve(ctx, params, seed, stats)
+        champion = best_of(front)
         decision = decode_schedule(ctx, champion.routing_genes)
-        runs.append((ctx, params, summary(front, stats), decision))
+        runs.append((ctx, seed, summary(front, stats), decision))
 
     real_evaluate = optimizer.evaluate_population
 
@@ -529,11 +525,11 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
 
     monkeypatch.setattr(optimizer, "evaluate_population", reference_evaluate)
     monkeypatch.setattr(optimizer, "non_dominated_sort", oracles.non_dominated_sort)
-    for ctx, params, expected, decision in runs:
+    for ctx, seed, expected, decision in runs:
         stats = {}
-        front = evolve(ctx, params, stats)
+        front = evolve(ctx, params, seed, stats)
         assert summary(front, stats) == expected
-        champion = scalarize_select([i for i in front if i.feasible] or front)
+        champion = best_of(front)
         reference = oracles.decode_schedule(ctx, champion.routing_genes)
         assert list(decision.route_assign.items()) == list(reference.route_assign.items())
 

@@ -20,7 +20,7 @@ from dynaroute.scheduling import (
 
 
 def make_link(prob=0.9, rate=1e7) -> LinkSnapshot:
-    return LinkSnapshot(distance=50.0, path_loss=90.0, sinr=25.0, rate=rate, delivery_prob=prob)
+    return LinkSnapshot(distance=50.0, rate=rate, delivery_prob=prob)
 
 
 def line_topology(n=3, spacing=50.0, probs=None) -> TopologySnapshot:
@@ -263,7 +263,7 @@ def random_scoring_topology(seed: int) -> TopologySnapshot:
     speeds = {n: (0.0 if n >= 1000 else float(rng.choice([15.0, 15.0, 16.5]))) for n in nodes}
     links = {
         (a, b): LinkSnapshot(
-            distance=50.0, path_loss=90.0, sinr=25.0, rate=1e7,
+            distance=50.0, rate=1e7,
             delivery_prob=float(rng.choice([0.5, 0.9])),
         )
         for a, b in itertools.permutations(nodes, 2)
