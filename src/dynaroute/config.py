@@ -162,12 +162,47 @@ _NESTED = {
 }
 
 # Keys of retired model parameters that older config files still carry,
-# with the only value each accepts: its old default, which nothing read.
+# with their kind and the only value each accepts: its old default, which
+# nothing read.
 _RETIRED = {
-    "safety": {"a_max": 2.5, "d_min": None, "tau1": 0.5, "tau2": 0.5, "tau3": 0.5},
-    "platoon": {"desired_gap": 10.0},
-    "ga": {"combined_crowding": True, "rng_seed": 0},
+    "safety": {
+        "a_max": ("float", 2.5),
+        "d_min": ("float | None", None),
+        "tau1": ("float", 0.5),
+        "tau2": ("float", 0.5),
+        "tau3": ("float", 0.5),
+    },
+    "platoon": {"desired_gap": ("float", 10.0)},
+    "ga": {"combined_crowding": ("bool", True), "rng_seed": ("int", 0)},
 }
+
+# Python types a value of each field annotation may have; bool is an int
+# subclass but counts only for "bool". rsu_positions ("tuple") is checked
+# on its own.
+_KINDS = {
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "str": (str,),
+    "bool": (bool,),
+}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if kind == "tuple":  # rsu_positions: a list of 2-number lists
+        return isinstance(value, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(_is_kind(x, "float") for x in p)
+            for p in value
+        )
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _KINDS[kind])
+
+
+def _check_kind(value, kind: str, name: str) -> None:
+    if not _is_kind(value, kind):
+        wanted = "a list of [x, y] number pairs" if kind == "tuple" else f"of type {kind}"
+        raise ConfigError(f"'{name}' must be {wanted}, got {value!r}")
 
 
 def _build(cls, data: dict, where: str):
@@ -175,21 +210,25 @@ def _build(cls, data: dict, where: str):
         raise ConfigError(f"section '{where}' must be an object")
     retired = _RETIRED.get(where, {})
     for key in sorted(set(data) & set(retired)):
-        if data[key] != retired[key]:
+        kind, old = retired[key]
+        _check_kind(data[key], kind, f"{where}.{key}")
+        if data[key] != old:
             raise ConfigError(
                 f"retired key '{where}.{key}' only accepts its old default "
-                f"{json.dumps(retired[key])}, got {data[key]!r}"
+                f"{json.dumps(old)}, got {data[key]!r}"
             )
     data = {key: value for key, value in data.items() if key not in retired}
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in section '{where}'")
     kwargs = {}
     for key, value in data.items():
         if key in _NESTED and cls is ScenarioConfig:
             kwargs[key] = _build(_NESTED[key], value, key)
-        elif key == "rsu_positions":
+            continue
+        _check_kind(value, kinds[key], f"{where}.{key}")
+        if key == "rsu_positions":
             kwargs[key] = tuple(tuple(map(float, p)) for p in value)
         else:
             kwargs[key] = value

@@ -585,8 +585,8 @@ def _assign_routes(world: World, topo: TopologySnapshot) -> None:
 def _grant_channels(world: World, topo: TopologySnapshot) -> list:
     """(packet id, link, link snapshot) per granted request: at most
     n_channels grants and one per link. The joint optimizer serves by path
-    value (its schedule objective), letting hopeless requests expire; the
-    baseline has no value concept and serves in arrival order."""
+    value (what its routing objective Y sums), letting hopeless requests
+    expire; the baseline has no value concept and serves in arrival order."""
     config = world.config
     requests = []
     for pid in sorted(world.pending):

@@ -108,10 +108,6 @@ class JointContext:
     def n_vehicles(self) -> int:
         return len(self.problems)
 
-    @property
-    def n_packets(self) -> int:
-        return len(self.packets)
-
     def routing_gene_sizes(self) -> list:
         return [max(len(c), 1) for c in self.candidates]
 
@@ -156,7 +152,7 @@ class DecodeTable:
         of candidates), at the earliest workable start."""
         genes = np.asarray(routing_genes, dtype=int).tolist()
         placed = fit_deadline_order(
-            ((options[genes[i] % len(options)],) for i, _packet, options in self.rows),
+            (options[genes[i] % len(options)] for i, _packet, options in self.rows),
             self.n_links, self.n_channels,
         )
         rows = self.rows
@@ -164,13 +160,12 @@ class DecodeTable:
 
 
 def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDecision:
-    """Turn per-packet path indices into a feasible schedule.
+    """Turn per-packet path indices into routes.
 
     Packets are fitted in deadline order at their earliest workable start
-    slot; one route per packet and one grant per link-slot hold by
-    construction, so decoded schedules always pass the feasibility check.
+    slot (DecodeTable.fit); a packet without one gets no route.
     """
-    return ScheduleDecision.with_grants({
+    return ScheduleDecision({
         (packet.id, k0): option.cand for packet, option, k0 in ctx.decode_table.fit(routing_genes)
     })
 
@@ -179,10 +174,9 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     """Score genomes in place, with one batch of control rollouts over all
     (follower, genome) rows.
 
-    Y sums the path values of the decoded schedule in deadline order, the
-    same sum as ScheduleDecision.objective; the channel grants are not
-    needed for it and are left to decode_schedule. J, feasibility and the
-    niching indicators are summed over followers in follower order.
+    Y sums the path values of the routes decode_schedule would return, in
+    deadline order, from the fit alone. J, feasibility and the niching
+    indicators are summed over followers in follower order.
     """
     n = len(individuals)
     if n == 0:
@@ -397,11 +391,12 @@ def crossover_mutate(
     parent_b: Individual,
     params: GaParams,
     rng: np.random.Generator,
-    control_bounds: tuple | None = None,
-    routing_sizes: Sequence[int] | None = None,
+    control_bounds: tuple,
+    routing_sizes: Sequence[int],
 ) -> tuple:
-    """Blend crossover + bounded Gaussian mutation on control genes; uniform
-    crossover + index resampling on routing genes."""
+    """Blend crossover + bounded Gaussian mutation on control genes, clipped
+    to +-control_bounds (r bound, a bound); uniform crossover + index resampling
+    below routing_sizes on routing genes."""
     if parent_a.control_genes.shape != parent_b.control_genes.shape:
         raise ValueError("parents must share the genome shape")
     a_control, b_control = parent_a.control_genes, parent_b.control_genes
@@ -421,23 +416,20 @@ def crossover_mutate(
         children = (parent_a.copy(), parent_b.copy())
 
     mutate_control = params.mutation_rate > 0 and a_control.size > 0
-    mutate_routing = params.mutation_rate > 0 and routing_sizes is not None and a_routing.size > 0
-    noise_scale = 0.1
-    if control_bounds is not None:
-        r_bound, a_bound = control_bounds
-        noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
-        upper = np.array([r_bound, a_bound])
-        lower = -upper
+    mutate_routing = params.mutation_rate > 0 and a_routing.size > 0
+    r_bound, a_bound = control_bounds
+    noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
+    upper = np.array([r_bound, a_bound])
+    lower = -upper
     for child in children:
         if mutate_control:
             mask = rng.random(size=a_control.shape) < params.mutation_rate
             noise = rng.normal(size=a_control.shape)
             noise *= noise_scale
             child.control_genes = child.control_genes + mask * noise
-        if control_bounds is not None:
-            # np.clip per input column, as one max/min pair over both
-            genes = child.control_genes
-            np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
+        # np.clip per input column, as one max/min pair over both
+        genes = child.control_genes
+        np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
         if mutate_routing:
             routing = child.routing_genes
             for i, size in enumerate(routing_sizes):

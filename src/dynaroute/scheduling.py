@@ -1,17 +1,17 @@
-"""Deadline-constrained packet routing and channel scheduling: loop-free path
-enumeration, the scheduling feasibility check, an exact small-instance solver
-and a greedy heuristic.
+"""Deadline-constrained packet routing: the topology snapshot, loop-free
+path enumeration, the mobility-aware path score and the deadline-order fit
+that decides which GA packets get a route.
 
 A packet assigned at slot k0 to an H-hop path crosses hop h at slot k0+h-1
-and must finish inside its deadline window. Both solvers build schedules
-where each slot carries at most n_channels transmissions and each link fires
-at most once per slot; the feasibility checker validates the weaker printed
-constraint (window usage <= window grants), so every solver output passes it.
+and must finish inside its deadline window. The fit keeps each slot within
+n_channels transmissions and each link to one transmission per slot. The
+run grants channels slot by slot by path value, so no channel plan is kept;
+tests/oracles.py holds the schedule feasibility check and the exact and
+greedy schedule solvers as test references.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,14 +29,8 @@ from .link_metrics import (
     vehicle_status,
 )
 
-EXACT_MAX_PACKETS = 3
-EXACT_MAX_CHANNELS = 2
-EXACT_MAX_HORIZON = 4
-EXACT_MAX_PATHS = 6
-
-# dispersion floor for path scores: unlike the division guard SIGMA_EPS,
-# this is a physical scale (m/s) that keeps scores commensurate with the
-# control cost when all platoon speeds coincide
+# dispersion floor for path scores: a physical scale (m/s) that keeps
+# scores commensurate with the control cost when all platoon speeds coincide
 SIGMA_SCORE_FLOOR = 0.25
 
 
@@ -255,165 +249,11 @@ def enumerate_paths(
 
 @dataclass
 class ScheduleDecision:
-    """Joint routing and channel-grant assignment.
-
-    route_assign maps (packet_id, start_slot) to the chosen PathCandidate;
-    channel_assign maps (channel, slot) to the granted directed link.
-    """
+    """Routes of one decoded GA genome: route_assign maps (packet_id,
+    start_slot) to the chosen PathCandidate. The run grants channels slot by
+    slot by path value, so no channel plan is kept."""
 
     route_assign: dict = field(default_factory=dict)
-    channel_assign: dict = field(default_factory=dict)
-
-    def objective(self) -> float:
-        return sum(c.path_value for c in self.route_assign.values())
-
-    @classmethod
-    def with_grants(cls, route_assign: dict) -> "ScheduleDecision":
-        """Decision for collision-free routes, granting each slot's links
-        channels in link order."""
-        grants = _grants_for(
-            ev for (_pid, k0), cand in route_assign.items() for ev in hop_slots(cand, k0)
-        )
-        return cls(route_assign, grants or {})
-
-
-def hop_slots(cand: PathCandidate, start_slot: int) -> list:
-    """(link, slot) pairs of a path started at start_slot, one hop per slot."""
-    return [
-        ((u, w), start_slot + h)
-        for h, (u, w) in enumerate(zip(cand.hops[:-1], cand.hops[1:]))
-    ]
-
-
-def check_feasible(
-    decision: ScheduleDecision,
-    packets: Sequence[Packet],
-    topology: TopologySnapshot,
-    n_channels: int,
-) -> bool:
-    """Validate the three scheduling constraint families.
-
-    (1) at most one route per packet and slot, (2) for every packet window,
-    per-link usage never exceeds the channel grants the link received inside
-    that window, (3) one link per channel and slot with channel indices in
-    range.
-    """
-    by_packet = {p.id: p for p in packets}
-    for (pid, k0), cand in decision.route_assign.items():
-        if pid not in by_packet:
-            return False
-        for link, _slot in hop_slots(cand, k0):
-            if link not in topology.links:
-                return False
-    for (channel, _slot), link in decision.channel_assign.items():
-        if not 0 <= channel < n_channels:
-            return False
-        if link not in topology.links:
-            return False
-
-    usage: dict = {}
-    for (pid, k0), cand in decision.route_assign.items():
-        for link, slot in hop_slots(cand, k0):
-            usage[(link, slot)] = usage.get((link, slot), 0) + 1
-
-    grants: dict = {}
-    for (_channel, slot), link in decision.channel_assign.items():
-        grants[(link, slot)] = grants.get((link, slot), 0) + 1
-
-    for packet in packets:
-        window = range(packet.arrival_slot, packet.last_slot + 1)
-        links = {link for (link, slot) in usage if slot in window}
-        for link in links:
-            used = sum(usage.get((link, k), 0) for k in window)
-            granted = sum(grants.get((link, k), 0) for k in window)
-            if used > granted:
-                return False
-    return True
-
-
-def _packet_options(
-    packet: Packet,
-    topology: TopologySnapshot,
-    horizon: int,
-    max_hops: int,
-) -> list:
-    """(candidate, start_slot) choices completing inside window and horizon."""
-    options = []
-    cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
-    for idx, cand in enumerate(cands):
-        n_hops = len(cand.hops) - 1
-        for k0 in range(packet.arrival_slot, packet.last_slot - n_hops + 2):
-            if k0 + n_hops - 1 <= min(packet.last_slot, horizon - 1):
-                options.append((idx, cand, k0))
-    return options
-
-
-def _grants_for(transmissions: Iterable) -> dict | None:
-    """Assign channels per slot (one link per channel-slot, one grant per
-    link-slot); None when some slot needs more channels than allowed."""
-    per_slot: dict = {}
-    for link, slot in transmissions:
-        per_slot.setdefault(slot, []).append(link)
-    channel_assign = {}
-    for slot, links in per_slot.items():
-        if len(set(links)) != len(links):
-            return None
-        for channel, link in enumerate(sorted(links, key=repr)):
-            channel_assign[(channel, slot)] = link
-    return channel_assign
-
-
-def solve_schedule_exact(
-    packets: Sequence[Packet],
-    topology: TopologySnapshot,
-    n_channels: int,
-    horizon: int,
-    max_hops: int = 3,
-) -> ScheduleDecision:
-    """Exhaustive maximizer of the summed path values, for small instances
-    only. Ties resolve toward the lexicographically first assignment."""
-    if len(packets) > EXACT_MAX_PACKETS or n_channels > EXACT_MAX_CHANNELS:
-        raise ValueError("instance too large for exact search; use the greedy solver")
-    if horizon > EXACT_MAX_HORIZON:
-        raise ValueError("horizon too long for exact search; use the greedy solver")
-
-    ordered = sorted(packets, key=lambda p: p.id)
-    per_packet = []
-    for packet in ordered:
-        options = _packet_options(packet, topology, horizon, max_hops)
-        if len({idx for idx, _, _ in options}) > EXACT_MAX_PATHS:
-            raise ValueError("too many candidate paths for exact search")
-        per_packet.append([None] + options)
-
-    best: ScheduleDecision | None = None
-    best_obj = -math.inf
-    for combo in itertools.product(*per_packet):
-        transmissions = []
-        route_assign = {}
-        ok = True
-        for packet, choice in zip(ordered, combo):
-            if choice is None:
-                continue
-            _idx, cand, k0 = choice
-            events = hop_slots(cand, k0)
-            transmissions.extend(events)
-            route_assign[(packet.id, k0)] = cand
-        slot_counts: dict = {}
-        for link, slot in transmissions:
-            slot_counts[slot] = slot_counts.get(slot, 0) + 1
-            if slot_counts[slot] > n_channels:
-                ok = False
-                break
-        if not ok:
-            continue
-        channel_assign = _grants_for(transmissions)
-        if channel_assign is None:
-            continue
-        obj = sum(c.path_value for c in route_assign.values())
-        if obj > best_obj + 1e-12:
-            best_obj = obj
-            best = ScheduleDecision(route_assign, channel_assign)
-    return best if best is not None else ScheduleDecision()
 
 
 class SlotOption(NamedTuple):
@@ -447,75 +287,39 @@ def slot_options(
     return tuple(options)
 
 
-def fit_deadline_order(choices: Iterable, n_links: int, n_channels: int) -> list:
-    """The deadline-order schedule fit shared by the GA decode and the
-    greedy solver.
+def fit_deadline_order(options: Iterable, n_links: int, n_channels: int) -> list:
+    """The deadline-order schedule fit of the GA decode.
 
-    choices holds, per packet in fitting order, the SlotOptions to try in
-    turn; the first option with a workable start is placed at its earliest
-    one, where every hop h of a start s needs link l_h idle and a free
-    channel in slot s + h. Occupancy is kept as integer bitmasks over slots,
-    so one route per packet and one grant per link-slot hold by
-    construction. Returns (position in choices, option, start bit) per
+    options holds one SlotOption per packet, in fitting order. Each is
+    placed at its earliest workable start, where every hop h of a start s
+    needs link l_h idle and a free channel in slot s + h; a packet without
+    one stays unplaced. Occupancy is kept as integer bitmasks over slots, so
+    one route per packet and one transmission per link-slot hold by
+    construction. Returns (position in options, option, start bit) per
     placed packet.
     """
     busy = [0] * n_links
     load: dict = {}
     full = 0 if n_channels > 0 else -1
     placed = []
-    for pos, options in enumerate(choices):
-        for option in options:
-            _cand, links, starts = option
-            bad = 0
-            h = 0
-            for link in links:
-                bad |= (busy[link] | full) >> h
-                h += 1
-            free = starts & ~bad
-            if not free:
-                continue
-            start = (free & -free).bit_length() - 1
-            slot, bit = start, 1 << start
-            for link in links:
-                busy[link] |= bit
-                n = load.get(slot, 0) + 1
-                load[slot] = n
-                if n == n_channels:
-                    full |= bit
-                slot, bit = slot + 1, bit << 1
-            placed.append((pos, option, start))
-            break
+    for pos, option in enumerate(options):
+        _cand, links, starts = option
+        bad = 0
+        h = 0
+        for link in links:
+            bad |= (busy[link] | full) >> h
+            h += 1
+        free = starts & ~bad
+        if not free:
+            continue
+        start = (free & -free).bit_length() - 1
+        slot, bit = start, 1 << start
+        for link in links:
+            busy[link] |= bit
+            n = load.get(slot, 0) + 1
+            load[slot] = n
+            if n == n_channels:
+                full |= bit
+            slot, bit = slot + 1, bit << 1
+        placed.append((pos, option, start))
     return placed
-
-
-def solve_schedule_greedy(
-    packets: Sequence[Packet],
-    topology: TopologySnapshot,
-    n_channels: int,
-    horizon: int,
-    max_hops: int = 3,
-) -> ScheduleDecision:
-    """Deadline-first greedy assignment; always returns a feasible decision.
-
-    Each packet takes its highest-valued candidate that still has a
-    workable start, at the earliest such start.
-    """
-
-    def best_value(packet: Packet) -> float:
-        cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
-        return cands[0].path_value if cands else 0.0
-
-    ordered = sorted(packets, key=lambda p: (p.last_slot, -best_value(p), p.id))
-    origin = min((p.arrival_slot for p in ordered), default=0)
-    link_ids: dict = {}
-    choices = []
-    for packet in ordered:
-        cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
-        options = slot_options(packet, cands, origin, horizon, link_ids)
-        # stable: equal values keep candidate order
-        choices.append(sorted(options, key=lambda o: -o.cand.path_value))
-
-    return ScheduleDecision.with_grants({
-        (ordered[pos].id, origin + start): option.cand
-        for pos, option, start in fit_deadline_order(choices, len(link_ids), n_channels)
-    })

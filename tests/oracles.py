@@ -4,13 +4,17 @@ the table-driven and batched code in `dynaroute` must reproduce exactly
 (same placements, same float bits, same front order, same niche picks, same
 kept paths, same routes), and the scalar formulas (stage cost, path speed
 dispersion, hop aggregation, pairwise dominance) the vectorized kernels
-compute.
+compute. The offline schedule references live here too: the feasibility
+check of routes against a channel plan, the exhaustive small-instance
+solver and the deadline-first greedy solver, which bound and check the
+routes of the GA decode.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,10 +37,12 @@ from dynaroute.scheduling import (
     Packet,
     ScheduleDecision,
     TopologySnapshot,
-    _grants_for,
-    _packet_options,
-    hop_slots,
 )
+
+EXACT_MAX_PACKETS = 3
+EXACT_MAX_CHANNELS = 2
+EXACT_MAX_HORIZON = 4
+EXACT_MAX_PATHS = 6
 
 
 def state_from_vector(vec: Sequence[float]) -> VehicleState:
@@ -142,10 +148,6 @@ def decode_schedule(ctx: JointContext, routing_genes) -> ScheduleDecision:
                     link_busy.add((link, slot))
                     slot_load[slot] = slot_load.get(slot, 0) + 1
                 break
-    grants = _grants_for(
-        ev for (pid, k0), cand in decision.route_assign.items() for ev in hop_slots(cand, k0)
-    )
-    decision.channel_assign = grants or {}
     return decision
 
 
@@ -216,14 +218,161 @@ def solve_schedule_greedy(
                     link_busy.add((link, slot))
                     slot_load[slot] = slot_load.get(slot, 0) + 1
                 break
-
-    all_events = [
-        ev for (pid, k0), cand in decision.route_assign.items()
-        for ev in hop_slots(cand, k0)
-    ]
-    grants = _grants_for(all_events)
-    decision.channel_assign = grants if grants is not None else {}
     return decision
+
+
+def objective(decision: ScheduleDecision) -> float:
+    """Summed path values of the routes, in route order."""
+    return sum(c.path_value for c in decision.route_assign.values())
+
+
+def hop_slots(cand: PathCandidate, start_slot: int) -> list:
+    """(link, slot) pairs of a path started at start_slot, one hop per slot."""
+    return [
+        ((u, w), start_slot + h)
+        for h, (u, w) in enumerate(zip(cand.hops[:-1], cand.hops[1:]))
+    ]
+
+
+def _grants_for(transmissions: Iterable) -> dict | None:
+    """Assign channels per slot (one link per channel-slot, one grant per
+    link-slot); None when some link fires twice in one slot."""
+    per_slot: dict = {}
+    for link, slot in transmissions:
+        per_slot.setdefault(slot, []).append(link)
+    channel_assign = {}
+    for slot, links in per_slot.items():
+        if len(set(links)) != len(links):
+            return None
+        for channel, link in enumerate(sorted(links, key=repr)):
+            channel_assign[(channel, slot)] = link
+    return channel_assign
+
+
+def grants(decision: ScheduleDecision) -> dict:
+    """Channel plan of a set of routes: (channel, slot) -> link, each slot's
+    links granted channels in link order; empty when some link fires twice
+    in one slot."""
+    return _grants_for(
+        ev for (_pid, k0), cand in decision.route_assign.items() for ev in hop_slots(cand, k0)
+    ) or {}
+
+
+def check_feasible(
+    decision: ScheduleDecision,
+    channel_assign: dict,
+    packets: Sequence[Packet],
+    topology: TopologySnapshot,
+    n_channels: int,
+) -> bool:
+    """Validate the three scheduling constraint families of routes and a
+    channel plan ((channel, slot) -> link).
+
+    (1) at most one route per packet and slot, (2) for every packet window,
+    per-link usage never exceeds the channel grants the link received inside
+    that window, (3) one link per channel and slot with channel indices in
+    range.
+    """
+    by_packet = {p.id: p for p in packets}
+    for (pid, k0), cand in decision.route_assign.items():
+        if pid not in by_packet:
+            return False
+        for link, _slot in hop_slots(cand, k0):
+            if link not in topology.links:
+                return False
+    for (channel, _slot), link in channel_assign.items():
+        if not 0 <= channel < n_channels:
+            return False
+        if link not in topology.links:
+            return False
+
+    usage: dict = {}
+    for (pid, k0), cand in decision.route_assign.items():
+        for link, slot in hop_slots(cand, k0):
+            usage[(link, slot)] = usage.get((link, slot), 0) + 1
+
+    link_grants: dict = {}
+    for (_channel, slot), link in channel_assign.items():
+        link_grants[(link, slot)] = link_grants.get((link, slot), 0) + 1
+
+    for packet in packets:
+        window = range(packet.arrival_slot, packet.last_slot + 1)
+        links = {link for (link, slot) in usage if slot in window}
+        for link in links:
+            used = sum(usage.get((link, k), 0) for k in window)
+            granted = sum(link_grants.get((link, k), 0) for k in window)
+            if used > granted:
+                return False
+    return True
+
+
+def _packet_options(
+    packet: Packet,
+    topology: TopologySnapshot,
+    horizon: int,
+    max_hops: int,
+) -> list:
+    """(candidate, start_slot) choices completing inside window and horizon."""
+    options = []
+    cands = topology.candidate_paths(packet.source, packet.destination, max_hops)
+    for idx, cand in enumerate(cands):
+        n_hops = len(cand.hops) - 1
+        for k0 in range(packet.arrival_slot, packet.last_slot - n_hops + 2):
+            if k0 + n_hops - 1 <= min(packet.last_slot, horizon - 1):
+                options.append((idx, cand, k0))
+    return options
+
+
+def solve_schedule_exact(
+    packets: Sequence[Packet],
+    topology: TopologySnapshot,
+    n_channels: int,
+    horizon: int,
+    max_hops: int = 3,
+) -> ScheduleDecision:
+    """Exhaustive maximizer of the summed path values, for small instances
+    only. Ties resolve toward the lexicographically first assignment."""
+    if len(packets) > EXACT_MAX_PACKETS or n_channels > EXACT_MAX_CHANNELS:
+        raise ValueError("instance too large for exact search; use the greedy solver")
+    if horizon > EXACT_MAX_HORIZON:
+        raise ValueError("horizon too long for exact search; use the greedy solver")
+
+    ordered = sorted(packets, key=lambda p: p.id)
+    per_packet = []
+    for packet in ordered:
+        options = _packet_options(packet, topology, horizon, max_hops)
+        if len({idx for idx, _, _ in options}) > EXACT_MAX_PATHS:
+            raise ValueError("too many candidate paths for exact search")
+        per_packet.append([None] + options)
+
+    best: ScheduleDecision | None = None
+    best_obj = -math.inf
+    for combo in itertools.product(*per_packet):
+        transmissions = []
+        route_assign = {}
+        ok = True
+        for packet, choice in zip(ordered, combo):
+            if choice is None:
+                continue
+            _idx, cand, k0 = choice
+            events = hop_slots(cand, k0)
+            transmissions.extend(events)
+            route_assign[(packet.id, k0)] = cand
+        slot_counts: dict = {}
+        for link, slot in transmissions:
+            slot_counts[slot] = slot_counts.get(slot, 0) + 1
+            if slot_counts[slot] > n_channels:
+                ok = False
+                break
+        if not ok:
+            continue
+        if _grants_for(transmissions) is None:
+            continue
+        obj = sum(c.path_value for c in route_assign.values())
+        if obj > best_obj + 1e-12:
+            best_obj = obj
+            best = ScheduleDecision(route_assign)
+    return best if best is not None else ScheduleDecision()
 
 
 def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:

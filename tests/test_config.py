@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -189,3 +190,30 @@ def test_slot_lengths_must_equal_dt(section, key, tmp_path, capsys):
     data["dt"] = data["platoon"]["dt"] = data["channel"]["tau_slot"] = 0.05
     path.write_text(json.dumps(data))
     assert load_config(path).n_slots == 600
+
+
+# per field kind: a value that loads and one of the wrong type
+@pytest.mark.parametrize("section, key, good, bad", [
+    ("scenario", "n_channels", 3, 2.5),  # int takes no float
+    ("ga", "population", 16, 16.0),
+    ("traffic", "deadline_slots", 20, True),  # nor a bool
+    ("scenario", "duration", 30, "30"),  # float takes an int, not a str
+    ("safety", "alpha", 1, False),
+    ("channel", "varpi_linear", None, "2e4"),  # float | None also takes None
+    ("scenario", "loss_case", "case2", 2),  # str
+    ("scenario", "rsu_positions", [[0, 10.0]], [[0.0, 10.0, 1.0]]),  # [x, y] pairs
+    ("ga", "rng_seed", 0, False),  # retired keys: kind first, then value
+    ("ga", "combined_crowding", True, 1),
+])
+def test_field_kinds_checked_at_load(section, key, good, bad, tmp_path, capsys):
+    data = config_to_dict(default_config())
+    fields = data if section == "scenario" else data[section]
+    fields[key] = good
+    config_from_dict(data)
+    fields[key] = bad
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        config_from_dict(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err

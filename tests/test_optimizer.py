@@ -27,7 +27,7 @@ from dynaroute.optimizer import (
     scalarize_select,
     tournament_select,
 )
-from dynaroute.scheduling import Packet, TopologySnapshot, check_feasible
+from dynaroute.scheduling import Packet, TopologySnapshot
 from oracles import dominates
 
 
@@ -245,7 +245,7 @@ def test_crossover_mutate_zero_rates_copies_parents():
     params = GaParams(population=4, generations=1, crossover_rate=0.0, mutation_rate=0.0)
     pa = Individual(control_genes=np.ones((1, 3, 2)), routing_genes=np.array([1, 2]))
     pb = Individual(control_genes=np.zeros((1, 3, 2)), routing_genes=np.array([0, 0]))
-    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(0))
+    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(0), (1.0, 1.0), [2, 3])
     assert np.array_equal(ca.control_genes, pa.control_genes)
     assert np.array_equal(cb.routing_genes, pb.routing_genes)
 
@@ -254,7 +254,7 @@ def test_crossover_identical_parents_fixed_point():
     params = GaParams(population=4, generations=1, crossover_rate=1.0, mutation_rate=0.0)
     pa = Individual(control_genes=np.full((1, 3, 2), 0.3), routing_genes=np.array([2]))
     pb = Individual(control_genes=np.full((1, 3, 2), 0.3), routing_genes=np.array([2]))
-    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(1))
+    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(1), (1.0, 1.0), [3])
     assert np.allclose(ca.control_genes, 0.3) and np.allclose(cb.control_genes, 0.3)
     assert ca.routing_genes[0] == 2 and cb.routing_genes[0] == 2
 
@@ -307,10 +307,6 @@ def test_evaluate_perfect_formation_zero_cost():
 
 
 def test_evaluate_matches_exact_scheduler_on_toy():
-    from dynaroute.channel import LinkSnapshot
-    from dynaroute.link_metrics import NodeStatus
-    from dynaroute.scheduling import TopologySnapshot, solve_schedule_exact
-
     # two packets on disjoint pairs with ample channels: the decoded genome
     # objective must equal the exhaustive maximizer exactly
     positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (10.0, 6.0), 3: (90.0, 6.0)}
@@ -333,12 +329,12 @@ def test_evaluate_matches_exact_scheduler_on_toy():
         platoon=PlatoonConfig(), problems=[], packets=packets,
         candidates=candidates, n_channels=2, schedule_start=0, schedule_end=4,
     )
-    exact = solve_schedule_exact(packets, topo, n_channels=2, horizon=4, max_hops=2)
+    exact = oracles.solve_schedule_exact(packets, topo, n_channels=2, horizon=4, max_hops=2)
     best_y = max(
         routing_objective(ctx, combo)
         for combo in itertools.product(*(range(s) for s in ctx.routing_gene_sizes()))
     )
-    assert best_y == pytest.approx(exact.objective(), rel=1e-9)
+    assert best_y == pytest.approx(oracles.objective(exact), rel=1e-9)
 
 
 def test_scalarize_select_rules():
@@ -374,7 +370,9 @@ def test_evolve_deterministic_and_bounded():
         assert np.all(np.abs(ind.control_genes[..., 0]) <= cfg.comfort_r + 1e-9)
         assert np.all(np.abs(ind.control_genes[..., 1]) <= cfg.comfort_a + 1e-9)
         decision = decode_schedule(ctx, ind.routing_genes)
-        assert check_feasible(decision, ctx.packets, topo, ctx.n_channels)
+        assert oracles.check_feasible(
+            decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
+        )
 
 
 def test_evolve_monotone_best_scalarized():
@@ -470,8 +468,9 @@ def test_decode_matches_reference_decode_exactly():
                 a is b
                 for a, b in zip(decision.route_assign.values(), reference.route_assign.values())
             )
-            assert decision.channel_assign == reference.channel_assign
-            assert check_feasible(decision, ctx.packets, topo, ctx.n_channels)
+            assert oracles.check_feasible(
+                decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
+            )
             population.append(
                 Individual(control_genes=np.zeros((0, 2, 2)), routing_genes=genes)
             )
@@ -481,7 +480,7 @@ def test_decode_matches_reference_decode_exactly():
             seen["unrouted"] += sum(1 for c in ctx.candidates if c) - len(decision.route_assign)
         evaluate_population(population, ctx)
         for ind in population:
-            expected = oracles.decode_schedule(ctx, ind.routing_genes).objective()
+            expected = oracles.objective(oracles.decode_schedule(ctx, ind.routing_genes))
             assert ind.objective_y == expected
             assert type(ind.objective_y) is type(expected)
         seen["no_candidates"] += sum(1 for c in ctx.candidates if not c)
@@ -521,7 +520,7 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
     def reference_evaluate(individuals, ctx):
         real_evaluate(individuals, ctx)
         for ind in individuals:
-            ind.objective_y = oracles.decode_schedule(ctx, ind.routing_genes).objective()
+            ind.objective_y = oracles.objective(oracles.decode_schedule(ctx, ind.routing_genes))
 
     monkeypatch.setattr(optimizer, "evaluate_population", reference_evaluate)
     monkeypatch.setattr(optimizer, "non_dominated_sort", oracles.non_dominated_sort)
