@@ -1,6 +1,6 @@
-"""Per-vehicle distributed MPC: the per-follower control problem, the
-candidate rollout, feasibility and cost kernels, and a candidate-search
-solver.
+"""Per-vehicle distributed MPC: the followers' control problems as one
+array batch, the candidate rollout, feasibility and cost kernels, and a
+candidate-search solver.
 
 The solver evaluates a candidate input set (shifted previous solution,
 deterministic safety candidates, seeded Gaussian perturbations) against box
@@ -133,18 +133,6 @@ def predict_neighbor(
     return extrapolate_states(rec.state, horizon + lag, dt)[lag:]
 
 
-@dataclass
-class SafetyContext:
-    """Barrier partner of the feasibility check: the predecessor's predicted
-    states, (T+1, 4) for every candidate or (C, T+1, 4) per candidate row,
-    or None. With per-row partners, has_predecessor (C,) marks the rows
-    that have one; the barrier check skips the others."""
-
-    params: SafetyParams
-    predecessor: np.ndarray | None = None
-    has_predecessor: np.ndarray | None = None
-
-
 def extrapolate_states(state: VehicleState, horizon: int, dt: float) -> np.ndarray:
     """Constant-speed, constant-heading prediction; rows are slots 0..horizon."""
     k = np.arange(horizon + 1, dtype=float)
@@ -156,61 +144,87 @@ def extrapolate_states(state: VehicleState, horizon: int, dt: float) -> np.ndarr
     return out
 
 
-@dataclass
-class ControlProblem:
-    """Per-follower ingredients of the control objective: the measured state,
-    the (T+1, 4) reference, (predicted states, formation offset) per
-    neighbor, and the barrier partner."""
+@dataclass(frozen=True)
+class ControlBatch:
+    """The followers' control problems as arrays, one row per problem: start
+    states (V, 4), references (V, T+1, 4), predecessor predictions
+    (V, T+1, 4) with a has-predecessor mask (V,), and neighbor formation
+    targets (V, K, T, 4) padded with zeros to the largest neighbor count K,
+    with a presence mask (V, K). Every row shares the barrier parameters
+    safety. The harness builds one per GA step and one per baseline slot;
+    the candidate kernels read it with one row per candidate (repeat)."""
 
-    current_state: VehicleState
-    reference: np.ndarray
-    neighbors: list
-    safety_ctx: SafetyContext | None = None
+    starts: np.ndarray
+    references: np.ndarray
+    predecessors: np.ndarray
+    has_predecessor: np.ndarray
+    targets: np.ndarray
+    present: np.ndarray
+    safety: SafetyParams
+
+    @classmethod
+    def build(
+        cls,
+        states: Sequence[VehicleState],
+        views: Sequence[NeighborView],
+        platoon: PlatoonConfig,
+        safety: SafetyParams,
+    ) -> "ControlBatch":
+        """One row per (state, view), predicting every neighbor in view once
+        over the horizon.
+
+        The reference is the anchor's prediction plus its offset, or the
+        vehicle's own extrapolation without an anchor. The barrier partner
+        is the last non-anchor neighbor (the predecessor), or the anchor
+        when it is the only one. A neighbor's target is its prediction over
+        slots 1..T plus its offset, in view order.
+        """
+        t, dt = platoon.horizon, platoon.dt
+        n = len(states)
+        k_max = max((len(view.records) for view in views), default=0)
+        starts = np.empty((n, STATE_DIM))
+        references = np.empty((n, t + 1, STATE_DIM))
+        predecessors = np.zeros((n, t + 1, STATE_DIM))
+        has_predecessor = np.zeros(n, dtype=bool)
+        targets = np.zeros((n, k_max, t, STATE_DIM))
+        present = np.zeros((n, k_max), dtype=bool)
+        for v, (state, view) in enumerate(zip(states, views)):
+            starts[v] = state_vector(state)
+            anchored = False
+            for k, rec in enumerate(view.records.values()):
+                pred = predict_neighbor(rec, view, t, dt)
+                offset = np.asarray(rec.offset, dtype=float)
+                targets[v, k] = pred[1:] + offset
+                present[v, k] = True
+                if rec.is_reference_anchor:
+                    references[v] = pred + offset
+                    anchored = True
+                if not rec.is_reference_anchor or len(view.records) == 1:
+                    predecessors[v] = pred
+                    has_predecessor[v] = True
+            if not anchored:
+                references[v] = extrapolate_states(state, t, dt)
+        return cls(starts, references, predecessors, has_predecessor, targets, present, safety)
+
+    def repeat(self, m: int) -> "ControlBatch":
+        """Every row m times over, row v * m + i the i-th copy of row v."""
+        return ControlBatch(
+            np.repeat(self.starts, m, axis=0),
+            np.repeat(self.references, m, axis=0),
+            np.repeat(self.predecessors, m, axis=0),
+            np.repeat(self.has_predecessor, m, axis=0),
+            np.repeat(self.targets, m, axis=0),
+            np.repeat(self.present, m, axis=0),
+            self.safety,
+        )
 
 
-def build_control_problem(
-    state: VehicleState,
-    view: NeighborView,
-    config: PlatoonConfig,
-    safety: SafetyParams | None = None,
-) -> ControlProblem:
-    """Predict every neighbor in view once over the horizon.
-
-    The reference is the anchor's prediction plus its offset, or the
-    vehicle's own extrapolation without an anchor. With safety given, the
-    barrier partner is the last non-anchor neighbor (the predecessor), or
-    the anchor when it is the only one.
-    """
-    t, dt = config.horizon, config.dt
-    neighbors = []
-    anchor = predecessor = None
-    for rec in view.records.values():
-        pred = predict_neighbor(rec, view, t, dt)
-        neighbors.append((pred, rec.offset))
-        if rec.is_reference_anchor:
-            anchor = (pred, rec.offset)
-        if not rec.is_reference_anchor or len(view.records) == 1:
-            predecessor = pred
-    if anchor is not None:
-        reference = anchor[0] + np.asarray(anchor[1], dtype=float)[None, :]
-    else:
-        reference = extrapolate_states(state, t, dt)
-    safety_ctx = None if safety is None else SafetyContext(safety, predecessor)
-    return ControlProblem(state, reference, neighbors, safety_ctx)
-
-
-def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
-    """Euler-roll candidate input sequences; returns (C, T+1, 4).
-
-    current may be one VehicleState shared by all candidates or a (C, 4)
-    array of per-candidate initial states.
-    """
+def rollout_candidates(starts: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
+    """Euler-roll candidate input sequences from (C, 4) start states;
+    returns (C, T+1, 4)."""
     cands, horizon, _ = inputs.shape
     states = np.empty((cands, horizon + 1, STATE_DIM))
-    if isinstance(current, VehicleState):
-        states[:, 0, :] = state_vector(current)
-    else:
-        states[:, 0, :] = np.asarray(current, dtype=float)
+    states[:, 0, :] = starts
     for k in range(horizon):
         s = states[:, k, :]
         states[:, k + 1, 0] = s[:, 0] + s[:, 3] * np.cos(s[:, 2]) * dt
@@ -224,18 +238,20 @@ def rollout_candidates(current, inputs: np.ndarray, dt: float) -> np.ndarray:
 def feasibility_mask(
     states: np.ndarray,
     inputs: np.ndarray,
+    rows: ControlBatch,
     config: PlatoonConfig,
-    safety_ctx: SafetyContext | None,
-    deviation_ctx: tuple | None,
+    deviation: tuple | None = None,
 ) -> np.ndarray:
-    """Box bounds + CBF + self-deviation, per candidate.
+    """Box bounds + CBF + self-deviation, per candidate; rows holds one
+    control problem per candidate.
 
-    deviation_ctx is (references, budgets, has_budget): references (T+1, 4)
-    or (C, T+1, 4), budgets a scalar or (C,), and has_budget (C,) marks the
-    rows that have a previous plan. Such a row is rejected when its
-    gamma-scaled reference deviation over slots 1..T-1 exceeds the previous
-    plan's budget (the contraction form of the self-deviation constraint);
-    the other rows skip the check.
+    The CBF condition toward the predecessor binds the rows that have one;
+    when no row has, the barrier is not evaluated. deviation is (budgets,
+    has_budget), both (C,): has_budget marks the rows that have a previous
+    plan. Such a row is rejected when its gamma-scaled reference deviation
+    over slots 1..T-1 exceeds the previous plan's budget (the contraction
+    form of the self-deviation constraint); the other rows, and every row
+    without deviation, skip the check.
     """
     ok = np.ones(states.shape[0], dtype=bool)
     ok &= (inputs[:, :, 0] >= config.r_min - 1e-9).all(axis=1)
@@ -246,128 +262,61 @@ def feasibility_mask(
     ok &= (states[:, :, 3] <= config.v_max + 1e-9).all(axis=1)
     ok &= (states[:, :, 2] >= config.psi_min - 1e-9).all(axis=1)
     ok &= (states[:, :, 2] <= config.psi_max + 1e-9).all(axis=1)
-    if safety_ctx is not None and safety_ctx.predecessor is not None:
-        h = safety_function(states, safety_ctx.predecessor, safety_ctx.params)
-        cbf_ok = cbf_condition_holds(h[:, 1:], h[:, :-1], safety_ctx.params.alpha).all(axis=1)
-        if safety_ctx.has_predecessor is not None:
-            cbf_ok |= ~safety_ctx.has_predecessor
-        ok &= cbf_ok
-    if deviation_ctx is not None:
-        references, budgets, has_budget = deviation_ctx
+    if rows.has_predecessor.any():
+        h = safety_function(states, rows.predecessors, rows.safety)
+        cbf_ok = cbf_condition_holds(h[:, 1:], h[:, :-1], rows.safety.alpha).all(axis=1)
+        ok &= cbf_ok | ~rows.has_predecessor
+    if deviation is not None:
+        budgets, has_budget = deviation
         t = states.shape[1] - 1
         dev = config.weight_g * np.linalg.norm(
-            states[:, 1:t, :] - references[..., 1:t, :], axis=2
+            states[:, 1:t, :] - rows.references[:, 1:t, :], axis=2
         )
         ok &= (config.gamma * dev.sum(axis=1) <= budgets + 1e-9) | ~has_budget
     return ok
 
 
-def neighbor_targets(neighbors: Sequence[tuple], horizon: int) -> np.ndarray:
-    """(K, T, 4) formation targets over slots 1..T: each neighbor's
-    predicted states plus its offset."""
-    targets = np.empty((len(neighbors), horizon, STATE_DIM))
-    for k, (pred, offset) in enumerate(neighbors):
-        targets[k] = pred[1:] + np.asarray(offset, dtype=float)
-    return targets
-
-
-@dataclass(frozen=True)
-class ControlBatch:
-    """Control problems as arrays, one row per problem, for the kernels'
-    per-row form: start states (V, 4), references (V, T+1, 4), predecessor
-    predictions (V, T+1, 4) with a has-predecessor mask, and neighbor
-    targets (V, K, T, 4) padded to the largest neighbor count K with a
-    presence mask (V, K). Padding is zeros. The GA's population evaluation
-    and the batched DMPC solve both read it.
-
-    The barrier check needs one set of safety parameters for all problems.
-    """
-
-    starts: np.ndarray
-    references: np.ndarray
-    predecessors: np.ndarray
-    has_predecessor: np.ndarray
-    targets: np.ndarray
-    present: np.ndarray
-    safety: SafetyParams | None  # of the followers with a barrier partner
-
-    @classmethod
-    def build(cls, problems: Sequence, horizon: int) -> "ControlBatch":
-        n = len(problems)
-        k_max = max((len(p.neighbors) for p in problems), default=0)
-        starts = np.empty((n, STATE_DIM))
-        references = np.empty((n, horizon + 1, STATE_DIM))
-        predecessors = np.zeros((n, horizon + 1, STATE_DIM))
-        has_predecessor = np.zeros(n, dtype=bool)
-        targets = np.zeros((n, k_max, horizon, STATE_DIM))
-        present = np.zeros((n, k_max), dtype=bool)
-        safety = None
-        for v, problem in enumerate(problems):
-            starts[v] = state_vector(problem.current_state)
-            references[v] = problem.reference
-            ctx = problem.safety_ctx
-            if ctx is not None and ctx.predecessor is not None:
-                if safety is not None and ctx.params != safety:
-                    raise ValueError("followers must share the safety parameters")
-                safety = ctx.params
-                predecessors[v] = ctx.predecessor
-                has_predecessor[v] = True
-            k = len(problem.neighbors)
-            targets[v, :k] = neighbor_targets(problem.neighbors, horizon)
-            present[v, :k] = True
-        return cls(starts, references, predecessors, has_predecessor, targets, present, safety)
-
-
 def trajectory_costs(
-    states: np.ndarray,
-    inputs: np.ndarray,
-    reference: np.ndarray,
-    targets: np.ndarray,
-    config: PlatoonConfig,
-    present: np.ndarray | None = None,
+    states: np.ndarray, inputs: np.ndarray, rows: ControlBatch, config: PlatoonConfig
 ) -> np.ndarray:
     """Input effort + reference deviation + formation error per candidate,
-    summed in that order, one neighbor after another.
-
-    reference is (T+1, 4) for every candidate or (C, T+1, 4) per row;
-    targets (neighbor_targets) is (K, T, 4) or (C, K, T, 4). With per-row
-    targets padded to a common K, present (C, K) marks the real ones; a
-    padded neighbor adds exactly 0.0.
+    summed in that order, one neighbor after another; rows holds one
+    control problem per candidate, and a padded neighbor adds exactly 0.0.
     """
     cost = config.weight_r * np.hypot(inputs[:, :, 0], inputs[:, :, 1]).sum(axis=1)
     cost += config.weight_f * np.linalg.norm(
-        states[:, 1:, :] - reference[..., 1:, :], axis=2
+        states[:, 1:, :] - rows.references[:, 1:, :], axis=2
     ).sum(axis=1)
-    for k in range(targets.shape[-3]):
+    for k in range(rows.targets.shape[1]):
         term = config.weight_g * np.linalg.norm(
-            states[:, 1:, :] - targets[..., k, :, :], axis=2
+            states[:, 1:, :] - rows.targets[:, k], axis=2
         ).sum(axis=1)
-        cost += term if present is None else np.where(present[:, k], term, 0.0)
+        cost += np.where(rows.present[:, k], term, 0.0)
     return cost
 
 
 def formation_feedback_input(
-    current_state: VehicleState, reference: np.ndarray, config: PlatoonConfig
+    start: np.ndarray, reference: np.ndarray, config: PlatoonConfig
 ) -> tuple[float, float]:
-    """Proportional pull toward the reference point one slot ahead, clamped
-    to the comfort envelope."""
+    """Proportional pull from the (4,) start state toward the reference
+    point one slot ahead, clamped to the comfort envelope."""
+    px, py, psi, v = start.tolist()
     ref1 = reference[1]
-    a_fb = 0.3 * (ref1[0] - current_state.px - current_state.v * config.dt) + 0.8 * (
-        ref1[3] - current_state.v
-    )
-    r_fb = -0.8 * (current_state.py - ref1[1]) - 1.5 * wrap_angle(current_state.psi)
+    a_fb = 0.3 * (ref1[0] - px - v * config.dt) + 0.8 * (ref1[3] - v)
+    r_fb = -0.8 * (py - ref1[1]) - 1.5 * wrap_angle(psi)
     return (
         float(np.clip(r_fb, -config.comfort_r, config.comfort_r)),
         float(np.clip(a_fb, -config.comfort_a, config.comfort_a)),
     )
 
 
-def feedback_plans(problems: Sequence[ControlProblem], config: PlatoonConfig) -> np.ndarray:
-    """(V, T, 2) plans holding each problem's formation feedback input over
-    the horizon: a candidate of the solver and a seed genome of the GA."""
-    feedback = np.array(
-        [formation_feedback_input(p.current_state, p.reference, config) for p in problems]
-    ).reshape(-1, 1, INPUT_DIM)
+def feedback_plans(batch: ControlBatch, config: PlatoonConfig) -> np.ndarray:
+    """(V, T, 2) plans holding each row's formation feedback input over the
+    horizon: a candidate of the solver and a seed genome of the GA."""
+    feedback = np.array([
+        formation_feedback_input(start, reference, config)
+        for start, reference in zip(batch.starts, batch.references)
+    ]).reshape(-1, 1, INPUT_DIM)
     return np.repeat(feedback, config.horizon, axis=1)
 
 
@@ -403,13 +352,14 @@ class DmpcSolutions(tuple):
 
 
 def solve_dmpc(
-    problems: Sequence[ControlProblem],
+    batch: ControlBatch,
     prev_plans: Sequence[DmpcSolution | None],
     config: PlatoonConfig,
     rngs: Sequence[np.random.Generator],
 ) -> DmpcSolutions:
-    """Candidate-search receding-horizon solve of independent control
-    problems, with one call of each candidate kernel over all of them.
+    """Candidate-search receding-horizon solve of the batch's independent
+    control problems, with one call of each candidate kernel over all of
+    them.
 
     Each problem gets a block of n_candidates rows: its previous plan
     shifted by one slot (zero input without one), zero input, max-brake,
@@ -420,11 +370,8 @@ def solve_dmpc(
     of its block; when none is feasible, the max-brake row, flagged as
     infeasible fallback.
     """
-    if not problems:
-        return DmpcSolutions()
     t, dt = config.horizon, config.dt
-    n, c = len(problems), config.n_candidates
-    batch = ControlBatch.build(problems, t)
+    n, c = len(batch.starts), config.n_candidates
 
     has_plan = np.array([plan is not None for plan in prev_plans], dtype=bool)
     prev_inputs = np.zeros((n, t, INPUT_DIM))
@@ -440,7 +387,7 @@ def solve_dmpc(
         * np.linalg.norm(prev_states[:, 1:t] - batch.references[:, : t - 1], axis=2)
     ).sum(axis=1)
 
-    feedback = feedback_plans(problems, config)
+    feedback = feedback_plans(batch, config)
     brake = np.broadcast_to([0.0, -config.comfort_a], (n, t, INPUT_DIM))
     deterministic = np.stack([base, np.zeros_like(base), brake, feedback], axis=1)
 
@@ -456,29 +403,18 @@ def solve_dmpc(
     inputs[:, :, 0] = np.clip(inputs[:, :, 0], -config.comfort_r, config.comfort_r)
     inputs[:, :, 1] = np.clip(inputs[:, :, 1], -config.comfort_a, config.comfort_a)
 
-    states = rollout_candidates(np.repeat(batch.starts, c, axis=0), inputs, dt)
-    references = np.repeat(batch.references, c, axis=0)
-    safety = None
-    if batch.safety is not None:
-        safety = SafetyContext(
-            batch.safety,
-            np.repeat(batch.predecessors, c, axis=0),
-            np.repeat(batch.has_predecessor, c),
-        )
+    rows = batch.repeat(c)
+    states = rollout_candidates(rows.starts, inputs, dt)
     feasible = feasibility_mask(
-        states, inputs, config, safety,
-        (references, np.repeat(budgets, c), np.repeat(has_plan, c)),
+        states, inputs, rows, config, (np.repeat(budgets, c), np.repeat(has_plan, c))
     ).reshape(n, c)
-    costs = trajectory_costs(
-        states, inputs, references, np.repeat(batch.targets, c, axis=0), config,
-        np.repeat(batch.present, c, axis=0),
-    ).reshape(n, c)
+    costs = trajectory_costs(states, inputs, rows, config).reshape(n, c)
 
     solved = feasible.any(axis=1)
     masked = np.where(feasible, costs, np.inf)
     idx = np.where(solved, np.argmin(masked, axis=1), MAX_BRAKE_CANDIDATE)
-    rows = np.arange(n) * c + idx
-    chosen_inputs, chosen_states = inputs[rows], states[rows]
+    picked = np.arange(n) * c + idx
+    chosen_inputs, chosen_states = inputs[picked], states[picked]
     # saturate at the actuator limits, as clamp_input does
     chosen_inputs[:, :, 0] = np.clip(chosen_inputs[:, :, 0], -config.r_max, config.r_max)
     chosen_inputs[:, :, 1] = np.clip(chosen_inputs[:, :, 1], -config.a_max, config.a_max)

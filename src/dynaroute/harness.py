@@ -29,11 +29,11 @@ from .channel import (
 )
 from .config import ScenarioConfig, default_config
 from .control import (
+    ControlBatch,
     ControlInput,
     DmpcSolution,
     NeighborRecord,
     NeighborView,
-    build_control_problem,
     feedback_plans,
     shift_plans,
     solve_dmpc,
@@ -448,16 +448,16 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
         candidates.append(
             topo.candidate_paths(moved.source, moved.destination, config.max_hops)
         )
-    problems = [
-        build_control_problem(f.state, f.view, config.platoon, config.safety)
-        for f in world.followers
-    ]
-    seeds = [feedback_plans(problems, config.platoon)]
+    followers = world.followers
+    batch = ControlBatch.build(
+        [f.state for f in followers], [f.view for f in followers], config.platoon, config.safety
+    )
+    seeds = [feedback_plans(batch, config.platoon)]
     if world.champion is not None:
         seeds.append(shift_plans(world.champion.control_genes))
     ctx = JointContext(
         platoon=config.platoon,
-        problems=problems,
+        control=batch,
         packets=packets,
         candidates=candidates,
         n_channels=config.n_channels,
@@ -485,8 +485,10 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
 def _apply_controls(world: World, k: int) -> None:
     """Leaders follow the scheduled profile. Baseline followers with fresh
     beacons or no plan re-solve their DMPC, all in one solve, and apply
-    the first input (receding horizon); dynaroute followers step through
-    the GA's held inputs, advancing only while beacons arrive."""
+    the first input (receding horizon). Dynaroute followers step through
+    the GA's held inputs: the offset into them advances every slot, but
+    the applied input changes only in slot 0 or in a slot after a beacon
+    arrived, and is held otherwise."""
     config = world.config
     for agent in world.vehicles:
         if agent.is_leader:
@@ -504,10 +506,10 @@ def _apply_controls(world: World, k: int) -> None:
     ]
     if stale:
         solutions = solve_dmpc(
-            [
-                build_control_problem(agent.state, agent.view, config.platoon, config.safety)
-                for agent in stale
-            ],
+            ControlBatch.build(
+                [agent.state for agent in stale], [agent.view for agent in stale],
+                config.platoon, config.safety,
+            ),
             [agent.solution for agent in stale],
             config.platoon,
             [

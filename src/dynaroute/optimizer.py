@@ -20,7 +20,6 @@ import numpy as np
 from .control import (
     ControlBatch,
     PlatoonConfig,
-    SafetyContext,
     feasibility_mask,
     rollout_candidates,
     trajectory_costs,
@@ -91,12 +90,12 @@ class ReferencePointSet:
 
 @dataclass
 class JointContext:
-    """Evaluation snapshot: follower control problems (control.ControlProblem)
-    plus the pending packet set with pre-scored candidate paths and the
-    channel budget."""
+    """Evaluation snapshot: the followers' control problems, one
+    control.ControlBatch row each, plus the pending packet set with
+    pre-scored candidate paths and the channel budget."""
 
     platoon: PlatoonConfig
-    problems: list
+    control: ControlBatch
     packets: list
     candidates: list
     n_channels: int = 2
@@ -106,7 +105,7 @@ class JointContext:
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.problems)
+        return len(self.control.starts)
 
     def routing_gene_sizes(self) -> list:
         return [max(len(c), 1) for c in self.candidates]
@@ -114,10 +113,6 @@ class JointContext:
     @cached_property
     def decode_table(self) -> "DecodeTable":
         return DecodeTable.build(self)
-
-    @cached_property
-    def control_batch(self) -> "ControlBatch":
-        return ControlBatch.build(self.problems, self.platoon.horizon)
 
 
 @dataclass(frozen=True)
@@ -194,32 +189,19 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     pos_dev = np.zeros(n)
     n_followers = ctx.n_vehicles
     if n_followers:
-        batch = ctx.control_batch
         # rows are follower-major: row v * n + i is follower v of genome i
+        rows = ctx.control.repeat(n)
         inputs = np.stack([ind.control_genes for ind in individuals], axis=1).reshape(
             n_followers * n, cfg.horizon, 2
         )
-        references = np.repeat(batch.references, n, axis=0)
-        safety = None
-        if batch.safety is not None:
-            safety = SafetyContext(
-                batch.safety,
-                np.repeat(batch.predecessors, n, axis=0),
-                np.repeat(batch.has_predecessor, n),
-            )
-        states = rollout_candidates(np.repeat(batch.starts, n, axis=0), inputs, cfg.dt)
-        row_feasible = feasibility_mask(states, inputs, cfg, safety, None).reshape(
-            n_followers, n
-        )
-        row_costs = trajectory_costs(
-            states, inputs, references, np.repeat(batch.targets, n, axis=0), cfg,
-            np.repeat(batch.present, n, axis=0),
-        ).reshape(n_followers, n)
+        states = rollout_candidates(rows.starts, inputs, cfg.dt)
+        row_feasible = feasibility_mask(states, inputs, rows, cfg).reshape(n_followers, n)
+        row_costs = trajectory_costs(states, inputs, rows, cfg).reshape(n_followers, n)
         row_effort = np.abs(inputs).mean(axis=(1, 2)).reshape(n_followers, n)
-        row_speed = np.abs(states[:, :, 3] - references[:, :, 3]).mean(axis=1).reshape(
+        row_speed = np.abs(states[:, :, 3] - rows.references[:, :, 3]).mean(axis=1).reshape(
             n_followers, n
         )
-        row_pos = np.abs(states[:, :, 0] - references[:, :, 0]).mean(axis=1).reshape(
+        row_pos = np.abs(states[:, :, 0] - rows.references[:, :, 0]).mean(axis=1).reshape(
             n_followers, n
         )
         for v in range(n_followers):

@@ -72,28 +72,28 @@ class TopologySnapshot:
     # link lifetimes beyond this horizon are equivalent for ranking: a link
     # only needs to outlive the delivery deadline
     lifetime_horizon: float = math.inf
-    _path_cache: dict = field(default_factory=dict, repr=False)
-    _neighbor_cache: dict | None = field(default=None, repr=False)
-    _weight_cache: dict | None = field(default=None, repr=False)
-    _hop_cache: dict = field(default_factory=dict, repr=False)
+    # per-snapshot caches: not constructor fields, so dataclasses.replace
+    # gives a changed snapshot empty ones
+    _path_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _hop_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for i, j in self.links:
             if i not in self.positions or j not in self.positions:
                 raise ValueError(f"link ({i}, {j}) references unknown node")
 
-    def _neighbor_lists(self) -> dict:
-        if self._neighbor_cache is None:
-            lists: dict = {n: [] for n in self.positions}
-            for i, j in self.links:
-                lists[i].append(j)
-            for outs in lists.values():
-                outs.sort(key=repr)
-            self._neighbor_cache = lists
-        return self._neighbor_cache
+    @cached_property
+    def neighbor_lists(self) -> dict:
+        """Each node's link targets, sorted by repr, built once per snapshot."""
+        lists: dict = {n: [] for n in self.positions}
+        for i, j in self.links:
+            lists[i].append(j)
+        for outs in lists.values():
+            outs.sort(key=repr)
+        return lists
 
     def neighbors(self, node) -> list:
-        return self._neighbor_lists().get(node, [])
+        return self.neighbor_lists.get(node, [])
 
     def node_status(self, node) -> NodeStatus:
         return self.statuses.get(node, NodeStatus())
@@ -107,18 +107,17 @@ class TopologySnapshot:
         """status_bit of every node, computed once per snapshot."""
         return {n: self.status_bit(n) for n in self.positions}
 
-    def node_weight_of(self, node) -> float:
-        if self._weight_cache is None:
-            self._weight_cache = {}
-            bits = self.status_bits
-            for n in self.positions:
-                st = self.node_status(n)
-                n_path = neighbor_transmit_count([bits[j] for j in self.neighbors(n)])
-                rel = relay_reliability(st.relayed_ok, st.relay_received)
-                self._weight_cache[n] = node_weight(
-                    bits[n], n_path, rel, self.weights, can_transmit=bits[n] == 1
-                )
-        return self._weight_cache[node]
+    @cached_property
+    def node_weights(self) -> dict:
+        """node_weight of every node, computed once per snapshot."""
+        bits = self.status_bits
+        weights = {}
+        for n in self.positions:
+            st = self.node_status(n)
+            n_path = neighbor_transmit_count([bits[j] for j in self.neighbors(n)])
+            rel = relay_reliability(st.relayed_ok, st.relay_received)
+            weights[n] = node_weight(bits[n], n_path, rel, self.weights, can_transmit=bits[n] == 1)
+        return weights
 
     def hop_factors(self, u, w, destination) -> tuple:
         """(staying time, delivery prob, node weight, lifetime-capped
@@ -135,7 +134,7 @@ class TopologySnapshot:
                 self.speeds.get(u, 0.0),
                 self.speeds.get(w, 0.0),
             )
-            weight = self.node_weight_of(w)
+            weight = self.node_weights[w]
             align = hop_alignment(pu, pw, self.positions[destination])
             factors = (
                 sd,
@@ -219,7 +218,7 @@ def _loop_free_hops(
     if max_hops < 1:
         raise ValueError("max_hops must be at least 1")
     found: list = []
-    _extend_paths(topology._neighbor_lists(), destination, (source,), max_hops, found)
+    _extend_paths(topology.neighbor_lists, destination, (source,), max_hops, found)
     return found
 
 

@@ -20,11 +20,10 @@ import numpy as np
 
 from dynaroute.control import (
     INPUT_DIM,
-    ControlProblem,
+    ControlBatch,
     PlatoonConfig,
     feasibility_mask,
     formation_feedback_input,
-    neighbor_targets,
     rollout_candidates,
     state_vector,
     trajectory_costs,
@@ -391,7 +390,7 @@ def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
             topology.speeds.get(u, 0.0),
             topology.speeds.get(w, 0.0),
         )
-        weight = topology.node_weight_of(w)
+        weight = topology.node_weights[w]
         align = hop_alignment(pu, pw, topology.positions[dst])
         sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
         mobility.append(min(sd, topology.lifetime_horizon) * weight * align / sigma_eff)
@@ -402,7 +401,7 @@ def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
 
 def candidate_paths(topology: TopologySnapshot, source, destination, max_hops: int) -> list:
     """Score every loop-free path, sort by value (stable), keep path_cap."""
-    adjacency = topology._neighbor_lists()
+    adjacency = topology.neighbor_lists
     found = []
 
     def dfs(node, path):
@@ -423,6 +422,21 @@ def candidate_paths(topology: TopologySnapshot, source, destination, max_hops: i
     return cands[: topology.path_cap]
 
 
+def _problem_rows(batch: ControlBatch, v: int, m: int) -> ControlBatch:
+    """Row v of batch alone, m times over, its neighbor targets cut to the
+    real ones, which come first in each row (no padding)."""
+    k = int(batch.present[v].sum())
+    return ControlBatch(
+        np.repeat(batch.starts[v : v + 1], m, axis=0),
+        np.repeat(batch.references[v : v + 1], m, axis=0),
+        np.repeat(batch.predecessors[v : v + 1], m, axis=0),
+        np.repeat(batch.has_predecessor[v : v + 1], m, axis=0),
+        np.repeat(batch.targets[v : v + 1, :k], m, axis=0),
+        np.repeat(batch.present[v : v + 1, :k], m, axis=0),
+        batch.safety,
+    )
+
+
 def evaluate_population(individuals, ctx: JointContext) -> None:
     """Score genomes in place, one kernel call per follower over the
     population: the control objective, feasibility and niching indicators
@@ -436,15 +450,16 @@ def evaluate_population(individuals, ctx: JointContext) -> None:
     effort = np.zeros(n)
     speed_dev = np.zeros(n)
     pos_dev = np.zeros(n)
-    for v, problem in enumerate(ctx.problems):
+    for v in range(ctx.n_vehicles):
+        rows = _problem_rows(ctx.control, v, n)
+        reference = ctx.control.references[v]
         inputs = np.stack([ind.control_genes[v] for ind in individuals])
-        states = rollout_candidates(problem.current_state, inputs, cfg.dt)
-        feasible &= feasibility_mask(states, inputs, cfg, problem.safety_ctx, None)
-        targets = neighbor_targets(problem.neighbors, cfg.horizon)
-        costs += trajectory_costs(states, inputs, problem.reference, targets, cfg)
+        states = rollout_candidates(rows.starts, inputs, cfg.dt)
+        feasible &= feasibility_mask(states, inputs, rows, cfg)
+        costs += trajectory_costs(states, inputs, rows, cfg)
         effort += np.abs(inputs).mean(axis=(1, 2))
-        speed_dev += np.abs(states[:, :, 3] - problem.reference[None, :, 3]).mean(axis=1)
-        pos_dev += np.abs(states[:, :, 0] - problem.reference[None, :, 0]).mean(axis=1)
+        speed_dev += np.abs(states[:, :, 3] - reference[None, :, 3]).mean(axis=1)
+        pos_dev += np.abs(states[:, :, 0] - reference[None, :, 0]).mean(axis=1)
 
     for i, ind in enumerate(individuals):
         ind.objective_j = float(costs[i])
@@ -493,15 +508,16 @@ def niche_truncate(front, k: int, ref_points, already_selected) -> list:
 
 
 def solve_dmpc(
-    problem: ControlProblem,
+    batch: ControlBatch,
+    v: int,
     prev_inputs: np.ndarray | None,
     prev_states: np.ndarray | None,
     config: PlatoonConfig,
     rng: np.random.Generator,
 ) -> tuple:
-    """Single-problem candidate search: (inputs (T, 2), states (T+1, 4),
-    cost, infeasible fallback); prev_inputs/prev_states are the previous
-    plan, or None without one.
+    """Candidate search of the batch's row v alone: (inputs (T, 2), states
+    (T+1, 4), cost, infeasible fallback); prev_inputs/prev_states are the
+    previous plan, or None without one.
 
     Candidates: shifted previous solution, zero input, max-brake,
     formation-feedback, and seeded Gaussian perturbations around the
@@ -510,13 +526,13 @@ def solve_dmpc(
     problem, after the kernel's box and barrier checks.
     """
     t, dt = config.horizon, config.dt
-    current_state, reference = problem.current_state, problem.reference
+    start, reference = batch.starts[v], batch.references[v]
 
     base = np.zeros((t, INPUT_DIM))
     if prev_inputs is not None:
         base = np.vstack([prev_inputs[1:], prev_inputs[-1:]])
 
-    feedback = np.tile(formation_feedback_input(current_state, reference, config), (t, 1))
+    feedback = np.tile(formation_feedback_input(start, reference, config), (t, 1))
     brake = np.tile([0.0, -config.comfort_a], (t, 1))
     deterministic = np.stack([base, np.zeros((t, INPUT_DIM)), brake, feedback])
 
@@ -533,8 +549,9 @@ def solve_dmpc(
     inputs[:, :, 0] = np.clip(inputs[:, :, 0], -config.comfort_r, config.comfort_r)
     inputs[:, :, 1] = np.clip(inputs[:, :, 1], -config.comfort_a, config.comfort_a)
 
-    states = rollout_candidates(current_state, inputs, dt)
-    feasible = feasibility_mask(states, inputs, config, problem.safety_ctx, None)
+    rows = _problem_rows(batch, v, len(inputs))
+    states = rollout_candidates(rows.starts, inputs, dt)
+    feasible = feasibility_mask(states, inputs, rows, config)
     if prev_states is not None:
         aligned = np.vstack([prev_states[1:], prev_states[-1:]])
         budget = float(
@@ -544,8 +561,7 @@ def solve_dmpc(
             states[:, 1:t, :] - reference[None, 1:t, :], axis=2
         )
         feasible &= config.gamma * dev.sum(axis=1) <= budget + 1e-9
-    targets = neighbor_targets(problem.neighbors, t)
-    costs = trajectory_costs(states, inputs, reference, targets, config)
+    costs = trajectory_costs(states, inputs, rows, config)
 
     if not feasible.any():
         idx = 2  # max-brake fallback
@@ -559,9 +575,7 @@ def solve_dmpc(
         clamp_input(ControlInput(float(r), float(a)), config.r_max, config.a_max)
         for r, a in inputs[idx]
     )
-    chosen_states = (current_state,) + tuple(
-        state_from_vector(states[idx, k]) for k in range(1, t + 1)
-    )
+    chosen_states = tuple(state_from_vector(states[idx, k]) for k in range(t + 1))
     return (
         np.array([[i.r, i.a] for i in chosen_inputs]),
         np.array([state_vector(s) for s in chosen_states]),

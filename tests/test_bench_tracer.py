@@ -41,11 +41,15 @@ def test_traced_run_reports_layer_metrics(tracer_mod, mode, busy, tmp_path):
         name = path.rpartition(".")[2]
         assert any(key.split(".")[1] == name for key in metrics), name
     assert metrics[busy][0] > 0
+    # span names are registered when the tracer is installed, so without
+    # these a harness that stopped calling decode_schedule would pass while
+    # the decode routed ratio read 0, and kernel calls moved from the GA's
+    # module into control would pass while counted as DMPC calls
     if mode == "dynaroute":
-        # span names are registered when the tracer is installed, so without
-        # this a harness that stopped calling decode_schedule would pass while
-        # the decode routed ratio read 0
         assert metrics["optimizer.decode_schedule.calls"][0] > 0
+        assert metrics["control.rollout_candidates.ga.calls"][0] > 0
+    else:
+        assert metrics["control.rollout_candidates.dmpc.calls"][0] > 0
     assert metrics["harness.build_scenario.calls"][0] == 1
     assert metrics["dynamics.step.calls"][0] == cfg.n_slots * 8
     # 8 vehicles and 2 RSUs: every ordered pair but the two RSU-to-RSU ones

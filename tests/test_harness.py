@@ -127,11 +127,10 @@ def test_baseline_route_dead_end_returns_none():
     cfg = default_config()
     world = build_scenario(cfg, seed=0)
     topo = build_topology(world, {})
-    # strip every link that makes progress from node 0
-    topo.links = {
-        (a, b): s for (a, b), s in topo.links.items() if a != 0
-    }
-    topo._neighbor_cache = None
+    # strip every link that makes progress from node 0, in a fresh snapshot
+    topo = dataclasses.replace(
+        topo, links={(a, b): s for (a, b), s in topo.links.items() if a != 0}
+    )
     pkt = Packet(0, 0, 10, 1e5, 0, 5)
     assert baseline_route(topo, pkt) is None
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import oracles
 from dynaroute import optimizer
 from dynaroute.channel import LinkSnapshot
-from dynaroute.control import ControlProblem, PlatoonConfig, SafetyContext, extrapolate_states
+from dynaroute.control import ControlBatch, PlatoonConfig, extrapolate_states, state_vector
 from dynaroute.dynamics import SafetyParams, VehicleState
 from dynaroute.link_metrics import NodeStatus
 from dynaroute.optimizer import (
@@ -65,24 +65,38 @@ def routing_objective(ctx: JointContext, genes) -> float:
     return ind.objective_y
 
 
+def no_followers(cfg: PlatoonConfig) -> ControlBatch:
+    return ControlBatch.build([], [], cfg, SafetyParams())
+
+
+def one_follower(state: VehicleState, reference: np.ndarray, neighbor: np.ndarray) -> ControlBatch:
+    """One follower at state tracking reference, 10 m behind one neighbor
+    (predicted states), without a barrier partner."""
+    return ControlBatch(
+        starts=state_vector(state)[None],
+        references=reference[None],
+        predecessors=np.zeros((1,) + reference.shape),
+        has_predecessor=np.zeros(1, dtype=bool),
+        targets=(neighbor[1:] + np.array([-10.0, 0.0, 0.0, 0.0]))[None, None],
+        present=np.ones((1, 1), dtype=bool),
+        safety=SafetyParams(),
+    )
+
+
 def make_context(n_packets=2, with_vehicle=True, horizon=4) -> tuple:
     topo = small_topology()
     cfg = PlatoonConfig(horizon=horizon)
     packets = [Packet(i, 0, 6, 1e5, 0, 2) for i in range(n_packets)]
     candidates = [topo.candidate_paths(p.source, p.destination, 3) for p in packets]
-    problems = []
+    control = no_followers(cfg)
     if with_vehicle:
-        ref = extrapolate_states(VehicleState(1.0, 0.0, 0.0, 15.2), horizon, cfg.dt)
-        nb = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), horizon, cfg.dt)
-        problems.append(
-            ControlProblem(
-                current_state=VehicleState(0.0, 0.0, 0.0, 15.0),
-                reference=ref,
-                neighbors=[(nb, np.array([-10.0, 0.0, 0.0, 0.0]))],
-            )
+        control = one_follower(
+            VehicleState(0.0, 0.0, 0.0, 15.0),
+            extrapolate_states(VehicleState(1.0, 0.0, 0.0, 15.2), horizon, cfg.dt),
+            extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), horizon, cfg.dt),
         )
     ctx = JointContext(
-        platoon=cfg, problems=problems, packets=packets, candidates=candidates,
+        platoon=cfg, control=control, packets=packets, candidates=candidates,
         n_channels=2, schedule_start=0, schedule_end=8,
     )
     return ctx, topo
@@ -291,13 +305,7 @@ def test_evaluate_perfect_formation_zero_cost():
     cfg = ctx.platoon
     ref = extrapolate_states(VehicleState(0.0, 0.0, 0.0, 15.0), cfg.horizon, cfg.dt)
     nb = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), cfg.horizon, cfg.dt)
-    ctx.problems = [
-        ControlProblem(
-            current_state=VehicleState(0.0, 0.0, 0.0, 15.0),
-            reference=ref,
-            neighbors=[(nb, np.array([-10.0, 0.0, 0.0, 0.0]))],
-        )
-    ]
+    ctx.control = one_follower(VehicleState(0.0, 0.0, 0.0, 15.0), ref, nb)
     ind = Individual(
         control_genes=np.zeros((1, cfg.horizon, 2)), routing_genes=np.zeros(0, dtype=int)
     )
@@ -326,7 +334,7 @@ def test_evaluate_matches_exact_scheduler_on_toy():
     packets = [Packet(0, 0, 3, 1e5, 0, 1), Packet(1, 0, 3, 1e5, 2, 3)]
     candidates = [topo.candidate_paths(p.source, p.destination, 2) for p in packets]
     ctx = JointContext(
-        platoon=PlatoonConfig(), problems=[], packets=packets,
+        platoon=PlatoonConfig(), control=no_followers(PlatoonConfig()), packets=packets,
         candidates=candidates, n_channels=2, schedule_start=0, schedule_end=4,
     )
     exact = oracles.solve_schedule_exact(packets, topo, n_channels=2, horizon=4, max_hops=2)
@@ -439,8 +447,9 @@ def random_decode_context(rng) -> tuple:
         if cands and rng.random() < 0.3:
             cands.append(cands[0])  # tied path values at two gene values
         candidates.append(cands)
+    cfg = PlatoonConfig(horizon=2)
     ctx = JointContext(
-        platoon=PlatoonConfig(horizon=2), problems=[], packets=packets,
+        platoon=cfg, control=no_followers(cfg), packets=packets,
         candidates=candidates, n_channels=int(rng.integers(1, 4)),
         schedule_start=start, schedule_end=end,
     )
@@ -495,7 +504,7 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
     for _ in range(4):
         ctx, _ = random_decode_context(rng)
         ctx.platoon = contexts[0].platoon
-        ctx.problems = contexts[0].problems
+        ctx.control = contexts[0].control
         contexts.append(ctx)
 
     def summary(front, stats):
@@ -534,38 +543,44 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
 
 
 def random_control_context(rng) -> JointContext:
-    """Followers spaced behind each other with 0-3 neighbors each and a
-    barrier partner that may be missing (no safety context, or one without
-    a predecessor); close partners make the barrier bind for some genomes."""
+    """Followers spaced behind each other with 0-3 neighbors each, as
+    ControlBatch arrays: the first neighbor, if any, anchors the reference,
+    and about half the rows have a barrier partner, none in a quarter of
+    the batches; close partners make the barrier bind for some genomes."""
     cfg = PlatoonConfig(horizon=int(rng.integers(2, 8)))
     t, dt = cfg.horizon, cfg.dt
-    params = SafetyParams(w=2.0, l_w=4.0)
-    problems = []
-    for v in range(int(rng.integers(1, 6))):
+    counts = rng.integers(0, 4, size=int(rng.integers(1, 6)))
+    n = len(counts)
+    no_barrier = rng.random() < 0.25
+    starts = np.empty((n, 4))
+    references = np.empty((n, t + 1, 4))
+    predecessors = np.zeros((n, t + 1, 4))
+    has_predecessor = np.zeros(n, dtype=bool)
+    targets = np.zeros((n, int(counts.max()), t, 4))
+    present = np.zeros((n, int(counts.max())), dtype=bool)
+    for v, count in enumerate(counts):
         x = -12.0 * (v + 1) + float(rng.uniform(-3.0, 3.0))
         state = VehicleState(x, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.05, 0.05)),
                              float(rng.uniform(12.0, 18.0)))
-        neighbors = []
-        for _ in range(int(rng.integers(0, 4))):
+        starts[v] = state_vector(state)
+        references[v] = extrapolate_states(state, t, dt)
+        for k in range(count):
             other = VehicleState(x + float(rng.uniform(5.0, 25.0)), float(rng.uniform(-1.0, 1.0)),
                                  0.0, float(rng.uniform(12.0, 18.0)))
             offset = np.array([-10.0, 0.0, 0.0, 0.0]) + rng.normal(scale=0.1, size=4)
-            neighbors.append((extrapolate_states(other, t, dt), offset))
-        if neighbors:
-            reference = neighbors[0][0] + neighbors[0][1][None, :]
-        else:
-            reference = extrapolate_states(state, t, dt)
-        kind = int(rng.integers(0, 4))
-        if kind == 0:
-            safety_ctx = None
-        elif kind == 1:
-            safety_ctx = SafetyContext(params, None)
-        else:
+            pred = extrapolate_states(other, t, dt)
+            targets[v, k] = pred[1:] + offset
+            present[v, k] = True
+            if k == 0:
+                references[v] = pred + offset
+        if not no_barrier and rng.random() < 0.5:
             partner = VehicleState(x + float(rng.uniform(7.5, 14.0)), 0.0, 0.0,
                                    float(rng.uniform(8.0, 18.0)))
-            safety_ctx = SafetyContext(params, extrapolate_states(partner, t, dt))
-        problems.append(ControlProblem(state, reference, neighbors, safety_ctx))
-    return JointContext(platoon=cfg, problems=problems, packets=[], candidates=[])
+            predecessors[v] = extrapolate_states(partner, t, dt)
+            has_predecessor[v] = True
+    control = ControlBatch(starts, references, predecessors, has_predecessor, targets, present,
+                           SafetyParams(w=2.0, l_w=4.0))
+    return JointContext(platoon=cfg, control=control, packets=[], candidates=[])
 
 
 def random_control_population(ctx: JointContext, rng) -> list:
@@ -584,7 +599,7 @@ def random_control_population(ctx: JointContext, rng) -> list:
 
 def test_evaluate_population_matches_per_follower_reference_exactly():
     rng = np.random.default_rng(2026)
-    seen = {"feasible": 0, "infeasible": 0, "no_safety_ctx": 0, "no_predecessor": 0,
+    seen = {"feasible": 0, "infeasible": 0, "no_barrier": 0, "no_predecessor": 0,
             "mixed_neighbor_counts": 0, "no_neighbors": 0}
     for _ in range(200):
         ctx = random_control_context(rng)
@@ -598,26 +613,14 @@ def test_evaluate_population_matches_per_follower_reference_exactly():
             assert ind.indicators == ref.indicators
             assert all(type(x) is float for x in ind.indicators)
             seen["feasible" if ind.feasible else "infeasible"] += 1
-        counts = {len(p.neighbors) for p in ctx.problems}
+        counts = set(ctx.control.present.sum(axis=1).tolist())
+        has_predecessor = ctx.control.has_predecessor
         seen["mixed_neighbor_counts"] += len(counts) > 1
         seen["no_neighbors"] += 0 in counts
-        seen["no_safety_ctx"] += any(p.safety_ctx is None for p in ctx.problems)
-        seen["no_predecessor"] += any(
-            p.safety_ctx is not None and p.safety_ctx.predecessor is None for p in ctx.problems
-        )
+        # no row has a partner, so the barrier is not evaluated
+        seen["no_barrier"] += not has_predecessor.any()
+        seen["no_predecessor"] += has_predecessor.any() and not has_predecessor.all()
     assert min(seen.values()) > 30, seen
-
-
-def test_control_batch_needs_shared_safety_params():
-    ctx = random_control_context(np.random.default_rng(3))
-    t, dt = ctx.platoon.horizon, ctx.platoon.dt
-    pred = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), t, dt)
-    problem = ctx.problems[0]
-    for w in (2.0, 2.5):
-        ctx.problems.append(ControlProblem(problem.current_state, problem.reference, [],
-                                           SafetyContext(SafetyParams(w=w), pred)))
-    with pytest.raises(ValueError):
-        ctx.control_batch
 
 
 def test_niche_truncate_matches_reference_exactly():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -75,6 +76,19 @@ def test_enumerate_paths_no_route():
     topo.links.pop((1, 2))
     topo.links.pop((2, 1))
     assert enumerate_paths(topo, 0, 2, max_hops=3) == []
+
+
+def test_replaced_snapshot_builds_its_own_caches():
+    # a snapshot changed with dataclasses.replace must not answer from the
+    # neighbor lists, scores or paths cached by the one it was made from
+    topo = complete_topology(3)
+    assert sorted(c.hops for c in topo.candidate_paths(0, 2, 2)) == [(0, 1, 2), (0, 2)]
+    cut = dataclasses.replace(
+        topo, links={key: link for key, link in topo.links.items() if key != (0, 2)}
+    )
+    assert cut.neighbors(0) == [1]
+    assert [c.hops for c in cut.candidate_paths(0, 2, 2)] == [(0, 1, 2)]
+    assert cut.candidate_paths(0, 2, 2) == oracles.candidate_paths(cut, 0, 2, 2)
 
 
 def test_path_values_are_nonnegative_and_loop_free():
