@@ -6,7 +6,8 @@
 Each run loads a stored benchmark config (bench/configs/<workload>.json of
 the checkout) at its full duration and runs it in a subprocess with that
 checkout's src on PYTHONPATH. The matrix is case1-dynaroute seeds 0-2,
-case2-baseline seeds 0-5 and dense-dynaroute seed 0. For every run the
+case2-baseline seeds 0-5 and dense-dynaroute seeds 0-2 (16 vehicles: more
+relays per path query and more score ties). For every run the
 script prints, per checkout, the sha256 of trace.csv, packets.csv and
 summary.csv and of the barrier-series digest (`series_digest_text` from
 this repository's tests/test_golden.py, which no CSV holds). It exits 1 when
@@ -28,7 +29,7 @@ FILES = ("trace.csv", "packets.csv", "summary.csv")
 MATRIX = (
     [("case1-dynaroute", s) for s in range(3)]
     + [("case2-baseline", s) for s in range(6)]
-    + [("dense-dynaroute", 0)]
+    + [("dense-dynaroute", s) for s in range(3)]
 )
 
 # Runs in the checkout's interpreter: argv is config path, seed, mode and

@@ -577,7 +577,7 @@ def _assign_routes(world: World, topo: TopologySnapshot) -> None:
             continue
         link = ps.next_link()
         if link is None or link not in topo.links:
-            cands = topo.candidate_paths(ps.holder, ps.packet.destination, max_hops)
+            cands = topo.candidate_paths(ps.holder, ps.packet.destination, max_hops, keep=1)
             if cands:
                 ps.path, ps.path_pos, ps.path_value = cands[0].hops, 0, cands[0].path_value
             else:

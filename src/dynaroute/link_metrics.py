@@ -4,7 +4,6 @@ ranks candidate routes (scheduling.path_scores).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,22 +84,17 @@ def staying_time(r_v: float, delta_p: float, v_i: float, v_j: float) -> float:
     return min((r_v - delta_p) / dv, SD_CAP)
 
 
-def hop_alignment(
-    p_u: Sequence[float], p_w: Sequence[float], p_z: Sequence[float]
-) -> float:
-    """How much of the hop u->w is spent moving toward the destination z.
+def hop_alignment(hop_len: float, from_dist: float, to_dist: float) -> float:
+    """How much of the hop u->w is spent moving toward the destination z,
+    from the hop length |w - u| and the distances |z - u| and |z - w|.
 
     1 for a hop straight at the destination, 0 for sideways or backward
     relays; unlike an end-to-end remaining-distance ratio this does not
     punish short hops, which is what "matching movement direction" needs.
     """
-    hop_len = math.hypot(p_w[0] - p_u[0], p_w[1] - p_u[1])
     if hop_len == 0.0:
         return 0.0
-    gained = math.hypot(p_z[0] - p_u[0], p_z[1] - p_u[1]) - math.hypot(
-        p_z[0] - p_w[0], p_z[1] - p_w[1]
-    )
-    return min(max(gained / hop_len, 0.0), 1.0)
+    return min(max((from_dist - to_dist) / hop_len, 0.0), 1.0)
 
 
 def node_weight(

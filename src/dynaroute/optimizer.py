@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -102,10 +102,18 @@ class JointContext:
     schedule_start: int = 0
     schedule_end: int = 32
     seed_control: list = field(default_factory=list)
+    _repeated: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_vehicles(self) -> int:
         return len(self.control.starts)
+
+    def control_rows(self, n: int) -> ControlBatch:
+        """control.repeat(n), built once per context and population size."""
+        rows = self._repeated.get(n)
+        if rows is None:
+            rows = self._repeated[n] = self.control.repeat(n)
+        return rows
 
     def routing_gene_sizes(self) -> list:
         return [max(len(c), 1) for c in self.candidates]
@@ -125,6 +133,7 @@ class DecodeTable:
     n_links: int
     n_channels: int
     origin: int
+    n_slots: int
 
     @classmethod
     def build(cls, ctx: JointContext) -> "DecodeTable":
@@ -139,19 +148,20 @@ class DecodeTable:
             for i in order
             if ctx.candidates[i]
         )
-        return cls(rows, len(link_ids), ctx.n_channels, ctx.schedule_start)
+        return cls(
+            rows, len(link_ids), ctx.n_channels, ctx.schedule_start,
+            ctx.schedule_end - ctx.schedule_start,
+        )
 
     def fit(self, routing_genes: np.ndarray) -> list:
-        """(packet, option, start slot) per placed packet, in deadline order:
-        each packet tries only its gene-chosen path (gene modulo the number
-        of candidates), at the earliest workable start."""
+        """(row position, option, start bit) per placed packet, in deadline
+        order: each packet tries only its gene-chosen path (gene modulo the
+        number of candidates), at the earliest workable start."""
         genes = np.asarray(routing_genes, dtype=int).tolist()
-        placed = fit_deadline_order(
-            (options[genes[i] % len(options)] for i, _packet, options in self.rows),
-            self.n_links, self.n_channels,
+        return fit_deadline_order(
+            [options[genes[i] % len(options)] for i, _packet, options in self.rows],
+            self.n_links, self.n_channels, self.n_slots,
         )
-        rows = self.rows
-        return [(rows[pos][1], option, self.origin + start) for pos, option, start in placed]
 
 
 def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDecision:
@@ -160,8 +170,10 @@ def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDec
     Packets are fitted in deadline order at their earliest workable start
     slot (DecodeTable.fit); a packet without one gets no route.
     """
+    table = ctx.decode_table
     return ScheduleDecision({
-        (packet.id, k0): option.cand for packet, option, k0 in ctx.decode_table.fit(routing_genes)
+        (table.rows[pos][1].id, table.origin + start): option.cand
+        for pos, option, start in table.fit(routing_genes)
     })
 
 
@@ -179,7 +191,7 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     table = ctx.decode_table
     for ind in individuals:
         placed = table.fit(ind.routing_genes)
-        ind.objective_y = sum([option.cand.path_value for _packet, option, _k0 in placed])
+        ind.objective_y = sum([option.cand.path_value for _pos, option, _start in placed])
 
     cfg = ctx.platoon
     costs = np.zeros(n)
@@ -190,7 +202,7 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     n_followers = ctx.n_vehicles
     if n_followers:
         # rows are follower-major: row v * n + i is follower v of genome i
-        rows = ctx.control.repeat(n)
+        rows = ctx.control_rows(n)
         inputs = np.stack([ind.control_genes for ind in individuals], axis=1).reshape(
             n_followers * n, cfg.horizon, 2
         )
@@ -211,10 +223,13 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
             speed_dev += row_speed[v]
             pos_dev += row_pos[v]
 
-    for i, ind in enumerate(individuals):
-        ind.objective_j = float(costs[i])
-        ind.feasible = bool(feasible[i])
-        ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
+    for ind, cost, ok, *indicators in zip(
+        individuals, costs.tolist(), feasible.tolist(),
+        effort.tolist(), speed_dev.tolist(), pos_dev.tolist(),
+    ):
+        ind.objective_j = cost
+        ind.feasible = ok
+        ind.indicators = tuple(indicators)
 
 
 def non_dominated_sort(population: Sequence[Individual]) -> list:
@@ -359,10 +374,10 @@ def tournament_select(
     if not population:
         raise ValueError("population must be non-empty")
     k = min(k, len(population))
-    picks = rng.choice(len(population), size=k, replace=False)
-    best = population[int(picks[0])]
+    picks = rng.choice(len(population), size=k, replace=False).tolist()
+    best = population[picks[0]]
     for idx in picks[1:]:
-        cand = population[int(idx)]
+        cand = population[idx]
         if (cand.rank, -cand.crowding) < (best.rank, -best.crowding):
             best = cand
     return best
@@ -386,26 +401,26 @@ def crossover_mutate(
     if rng.random() < params.crossover_rate:
         beta = rng.random(size=a_control.shape)
         swap = rng.random(size=a_routing.shape) < 0.5
+        rest = 1 - beta
         children = (
-            Individual(
-                beta * a_control + (1 - beta) * b_control, np.where(swap, b_routing, a_routing)
-            ),
-            Individual(
-                (1 - beta) * a_control + beta * b_control, np.where(swap, a_routing, b_routing)
-            ),
+            Individual(beta * a_control + rest * b_control, np.where(swap, b_routing, a_routing)),
+            Individual(rest * a_control + beta * b_control, np.where(swap, a_routing, b_routing)),
         )
     else:
         children = (parent_a.copy(), parent_b.copy())
 
     mutate_control = params.mutation_rate > 0 and a_control.size > 0
     mutate_routing = params.mutation_rate > 0 and a_routing.size > 0
-    r_bound, a_bound = control_bounds
-    noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
-    upper = np.array([r_bound, a_bound])
-    lower = -upper
+    # rng.random() without its Python call: the same double from the same
+    # stream position, leaving the buffered 32-bit half that integers and
+    # choice read untouched
+    bits = rng.bit_generator.ctypes
+    next_double, state = bits.next_double, bits.state
+    rate = params.mutation_rate
+    noise_scale, lower, upper = _bound_arrays(*control_bounds)
     for child in children:
         if mutate_control:
-            mask = rng.random(size=a_control.shape) < params.mutation_rate
+            mask = rng.random(size=a_control.shape) < rate
             noise = rng.normal(size=a_control.shape)
             noise *= noise_scale
             child.control_genes = child.control_genes + mask * noise
@@ -415,9 +430,20 @@ def crossover_mutate(
         if mutate_routing:
             routing = child.routing_genes
             for i, size in enumerate(routing_sizes):
-                if rng.random() < params.mutation_rate:
-                    routing[i] = int(rng.integers(0, size))
+                if next_double(state) < rate:
+                    routing[i] = rng.integers(0, size)
     return children
+
+
+@lru_cache(maxsize=16)
+def _bound_arrays(r_bound: float, a_bound: float) -> tuple:
+    """(mutation noise scale, lower clip, upper clip) per input column,
+    shared between calls and so read-only."""
+    upper = np.array([r_bound, a_bound])
+    arrays = (np.array([0.25 * r_bound, 0.25 * a_bound]), -upper, upper)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual:
@@ -426,7 +452,8 @@ def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual
     control[..., 0] = rng.uniform(-cfg.comfort_r, cfg.comfort_r, size=control[..., 0].shape)
     control[..., 1] = rng.uniform(-cfg.comfort_a, cfg.comfort_a, size=control[..., 1].shape)
     sizes = ctx.routing_gene_sizes()
-    routing = np.array([rng.integers(0, s) for s in sizes], dtype=int)
+    # one draw per gene in gene order, as scalar integers calls would make
+    routing = rng.integers(0, sizes)
     return Individual(control_genes=control, routing_genes=routing)
 
 

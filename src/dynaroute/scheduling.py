@@ -1,6 +1,7 @@
-"""Deadline-constrained packet routing: the topology snapshot, loop-free
-path enumeration, the mobility-aware path score and the deadline-order fit
-that decides which GA packets get a route.
+"""Deadline-constrained packet routing: the topology snapshot, the
+mobility-aware path score, the best-first search for the best-scored
+loop-free paths and the deadline-order fit that decides which GA packets
+get a route.
 
 A packet assigned at slot k0 to an H-hop path crosses hop h at slot k0+h-1
 and must finish inside its deadline window. The fit keeps each slot within
@@ -12,10 +13,14 @@ greedy schedule solvers as test references.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .link_metrics import (
     MetricWeights,
@@ -32,6 +37,9 @@ from .link_metrics import (
 # dispersion floor for path scores: a physical scale (m/s) that keeps
 # scores commensurate with the control cost when all platoon speeds coincide
 SIGMA_SCORE_FLOOR = 0.25
+# relative headroom of a path-search bound over the rounding of its own
+# float operations, which run in another order than the exact score's
+BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,7 @@ class TopologySnapshot:
     # gives a changed snapshot empty ones
     _path_cache: dict = field(default_factory=dict, init=False, repr=False)
     _hop_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _toward_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for i, j in self.links:
@@ -119,41 +128,104 @@ class TopologySnapshot:
             weights[n] = node_weight(bits[n], n_path, rel, self.weights, can_transmit=bits[n] == 1)
         return weights
 
-    def hop_factors(self, u, w, destination) -> tuple:
-        """(staying time, delivery prob, node weight, lifetime-capped
-        mobility numerator) of the hop u->w toward destination, computed
-        once per snapshot."""
-        key = (u, w, destination)
-        factors = self._hop_cache.get(key)
-        if factors is None:
-            pu, pw = self.positions[u], self.positions[w]
+    @cached_property
+    def link_table(self) -> dict:
+        """(delivery prob, lifetime-capped staying time x receiver weight,
+        hop length) of every link, computed once per snapshot."""
+        positions, speeds, weights = self.positions, self.speeds, self.node_weights
+        table = {}
+        for (u, w), link in self.links.items():
+            pu, pw = positions[u], positions[w]
             planar = math.hypot(pw[0] - pu[0], pw[1] - pu[1])
             sd = staying_time(
                 self.comm_range,
                 min(planar, self.comm_range),
-                self.speeds.get(u, 0.0),
-                self.speeds.get(w, 0.0),
+                speeds.get(u, 0.0),
+                speeds.get(w, 0.0),
             )
-            weight = self.node_weights[w]
-            align = hop_alignment(pu, pw, self.positions[destination])
-            factors = (
-                sd,
-                self.links[(u, w)].delivery_prob,
-                weight,
-                min(sd, self.lifetime_horizon) * weight * align,
+            table[(u, w)] = (
+                link.delivery_prob, min(sd, self.lifetime_horizon) * weights[w], planar
             )
-            self._hop_cache[key] = factors
+        return table
+
+    @cached_property
+    def link_matrices(self) -> tuple:
+        """(node -> row index, lifetime-capped staying time x receiver
+        weight, delivery prob): the link table as dense node x node arrays,
+        0.0 where there is no link."""
+        index = {n: i for i, n in enumerate(self.positions)}
+        weighted, prob = np.zeros((2, len(index), len(index)))
+        for (u, w), (p, lifetime_weight, _len) in self.link_table.items():
+            i, j = index[u], index[w]
+            weighted[i, j], prob[i, j] = lifetime_weight, p
+        return index, weighted, prob
+
+    @cached_property
+    def repr_rank(self) -> dict:
+        """Each node's position in repr order, the order path enumeration
+        visits neighbors in."""
+        return {n: i for i, n in enumerate(sorted(self.positions, key=repr))}
+
+    def toward(self, destination) -> "Toward":
+        """Per-destination tables, built once per snapshot and destination."""
+        table = self._toward_cache.get(destination)
+        if table is None:
+            table = self._toward_cache[destination] = Toward.build(self, destination)
+        return table
+
+    def hop_factors(self, u, w, destination) -> tuple:
+        """(delivery prob, mobility numerator) of the hop u->w toward
+        destination, computed once per snapshot. The numerator is the
+        link's lifetime-capped staying time x receiver weight, times the
+        hop's alignment toward destination."""
+        prob, lifetime_weight, hop_len = self.link_table[(u, w)]
+        dist = self.toward(destination).dist
+        factors = (prob, lifetime_weight * hop_alignment(hop_len, dist[u], dist[w]))
+        self._hop_cache[(u, w, destination)] = factors
         return factors
 
-    def candidate_paths(self, source, destination, max_hops: int) -> list:
-        """Best path_cap candidates by value, enumeration order preserved on ties."""
-        key = (source, destination, max_hops)
-        if key not in self._path_cache:
-            found = _loop_free_hops(self, source, destination, max_hops)
-            scores = path_scores(self, found)
-            keep = sorted(range(len(found)), key=lambda i: -scores[i])[: self.path_cap]
-            self._path_cache[key] = [PathCandidate(found[i], scores[i]) for i in keep]
-        return self._path_cache[key]
+    def candidate_paths(self, source, destination, max_hops: int, keep: int | None = None) -> list:
+        """Best keep (default path_cap) candidates by value, ties in
+        enumeration order. A call with keep below path_cap answers from the
+        full list when that is cached already."""
+        if keep is None:
+            keep = self.path_cap
+        cache = self._path_cache
+        kept = cache.get((source, destination, max_hops, keep))
+        if kept is None:
+            full = cache.get((source, destination, max_hops, self.path_cap))
+            if full is not None and keep <= self.path_cap:
+                return full[:keep]
+            kept = _best_paths(self, source, destination, max_hops, keep)
+            cache[(source, destination, max_hops, keep)] = kept
+        return kept
+
+
+class Toward(NamedTuple):
+    """Tables of one snapshot toward one destination d: each node's
+    distance to d, and per node a the largest product over relays b of the
+    links a->b->d of lifetime-capped staying time x receiver weight
+    (best_weighted) and of delivery prob (best_prob), 0.0 without such a
+    relay. The maxima only bound 3-hop scores in the best-first search, so
+    numpy computes them: they never become a score."""
+
+    dist: dict
+    best_weighted: dict
+    best_prob: dict
+
+    @classmethod
+    def build(cls, topology: TopologySnapshot, destination) -> "Toward":
+        pd = topology.positions[destination]
+        dist = {
+            n: math.hypot(pd[0] - p[0], pd[1] - p[1]) for n, p in topology.positions.items()
+        }
+        index, weighted, prob = topology.link_matrices
+        d = index[destination]
+        return cls(
+            dist,
+            dict(zip(index, (weighted * weighted[:, d]).max(axis=1).tolist())),
+            dict(zip(index, (prob * prob[:, d]).max(axis=1).tolist())),
+        )
 
 
 def path_scores(topology: TopologySnapshot, paths: Iterable) -> list:
@@ -173,9 +245,9 @@ def path_scores(topology: TopologySnapshot, paths: Iterable) -> list:
         total = success = 1.0
         u = hops[0]
         for w in hops[1:]:
-            factors = cache.get((u, w, dst)) or hop_factors(u, w, dst)
-            total *= factors[3] / sigma_eff
-            success *= factors[1]
+            prob, numerator = cache.get((u, w, dst)) or hop_factors(u, w, dst)
+            total *= numerator / sigma_eff
+            success *= prob
             u = w
         n_hops = n_nodes - 1
         aggregate = 0.0 if total <= 0 else total ** (1.0 / n_hops)
@@ -234,6 +306,111 @@ def _extend_paths(adjacency: dict, destination, path: tuple, hops_left: int, fou
             _extend_paths(adjacency, destination, (*path, nxt), hops_left - 1, found)
 
 
+def _best_paths(
+    topology: TopologySnapshot, source, destination, max_hops: int, keep: int
+) -> list:
+    """The keep best loop-free source->destination paths of at most
+    max_hops edges as PathCandidates, ranked as a full enumeration would
+    rank them: by value, ties in enumeration order.
+
+    Best-first threshold search over _search_items: items are scored
+    exactly, by path_scores, in descending bound order until the next bound
+    falls strictly below the keep-th best score so far. An item whose bound
+    ties that score is still scored, since a tie can win on enumeration
+    order.
+    """
+    if source == destination:
+        raise ValueError("source and destination must differ")
+    if max_hops < 1:
+        raise ValueError("max_hops must be at least 1")
+    if keep < 1:
+        return []
+    scored = []
+    best: list = []  # min-heap of the keep best scores so far
+    for bound, hops in _search_items(topology, source, destination, max_hops):
+        if len(best) == keep and bound < best[0]:
+            break
+        paths = _item_paths(topology, hops, destination, max_hops)
+        for path, score in zip(paths, path_scores(topology, paths)):
+            if len(best) < keep:
+                heapq.heappush(best, score)
+            elif score > best[0]:
+                heapq.heapreplace(best, score)
+            elif score < best[0]:
+                continue  # below the keep-th best for good
+            scored.append((score, path))
+    rank = topology.repr_rank
+    scored.sort(key=lambda item: (-item[0], [rank[n] for n in item[1]]))
+    return [PathCandidate(path, score) for score, path in scored[:keep]]
+
+
+def _search_items(topology: TopologySnapshot, source, destination, max_hops: int) -> list:
+    """(upper bound on the scores, hops) per item of the path search, in
+    descending bound order. An item is the direct path, a 2-hop path, or
+    (source, a), which stands for the paths of 3 or more hops through first
+    relay a (_item_paths).
+
+    A first relay's bound over 3-hop paths takes the dispersion from the
+    three known speeds (the population variance of four values is at least
+    3/4 of that of three of them, and the floor applies to both), the first
+    hop's exact numerator and probability, the per-relay maxima of Toward
+    for the last two hops (alignment at most 1 in the middle, exactly 1 on
+    the last hop), and BOUND_SLACK for the rounding of its own operations.
+    Paths of more than 3 hops get no finite bound, so they are all scored.
+    """
+    table = topology.link_table
+    toward = topology.toward(destination)
+    cache = topology._hop_cache
+    hop_factors = topology.hop_factors
+    speeds = topology.speeds
+    sqrt = math.sqrt
+    v_s, v_d = speeds.get(source, 0.0), speeds.get(destination, 0.0)
+
+    items = []
+    direct = table.get((source, destination))
+    if direct is not None:
+        sigma = max(abs(v_s - v_d) / 2, SIGMA_SCORE_FLOOR)
+        items.append((direct[1] / sigma * direct[0] * BOUND_SLACK, (source, destination)))
+    if max_hops >= 2:
+        for a in topology.neighbor_lists.get(source, ()):
+            if a == destination:
+                continue
+            v_a = speeds.get(a, 0.0)
+            mean = (v_s + v_a + v_d) / 3
+            var = ((v_s - mean) ** 2 + (v_a - mean) ** 2 + (v_d - mean) ** 2) / 3
+            prob, numerator = cache.get((source, a, destination)) or hop_factors(
+                source, a, destination
+            )
+            last = table.get((a, destination))
+            if last is not None:
+                sigma = max(sqrt(var), SIGMA_SCORE_FLOOR)
+                bound = sqrt(numerator * last[1]) / sigma * prob * last[0] / 2
+                items.append((bound * BOUND_SLACK, (source, a, destination)))
+            if max_hops >= 3:
+                if max_hops == 3:
+                    sigma = max(sqrt(0.75 * var), SIGMA_SCORE_FLOOR)
+                    bound = (numerator * toward.best_weighted[a]) ** (1.0 / 3.0) / sigma
+                    bound *= prob * toward.best_prob[a] / 3 * BOUND_SLACK
+                else:
+                    bound = math.inf
+                items.append((bound, (source, a)))
+    items.sort(key=itemgetter(0), reverse=True)
+    return items
+
+
+def _item_paths(topology: TopologySnapshot, hops: tuple, destination, max_hops: int) -> list:
+    """The paths one search item stands for, in enumeration order."""
+    if hops[-1] == destination:
+        return [hops]
+    adjacency = topology.neighbor_lists
+    source, relay = hops
+    paths: list = []
+    for b in adjacency.get(relay, ()):
+        if b != source and b != destination:
+            _extend_paths(adjacency, destination, (source, relay, b), max_hops - 2, paths)
+    return paths
+
+
 # kept only because bench/tracer.py spans it by name; the simulation never calls it
 def enumerate_paths(
     topology: TopologySnapshot, source, destination, max_hops: int
@@ -286,39 +463,40 @@ def slot_options(
     return tuple(options)
 
 
-def fit_deadline_order(options: Iterable, n_links: int, n_channels: int) -> list:
+def fit_deadline_order(options: Iterable, n_links: int, n_channels: int, n_slots: int) -> list:
     """The deadline-order schedule fit of the GA decode.
 
-    options holds one SlotOption per packet, in fitting order. Each is
-    placed at its earliest workable start, where every hop h of a start s
-    needs link l_h idle and a free channel in slot s + h; a packet without
-    one stays unplaced. Occupancy is kept as integer bitmasks over slots, so
-    one route per packet and one transmission per link-slot hold by
-    construction. Returns (position in options, option, start bit) per
-    placed packet.
+    options holds one SlotOption per packet, in fitting order, with start
+    bits counted from the slot origin; every hop falls before slot
+    origin + n_slots. Each is placed at its earliest workable start, where
+    every hop h of a start s needs link l_h idle and a free channel in slot
+    s + h; a packet without one stays unplaced. Occupancy is kept as
+    integer bitmasks over slots, so one route per packet and one
+    transmission per link-slot hold by construction. Returns (position in
+    options, option, start bit) per placed packet.
     """
     busy = [0] * n_links
-    load: dict = {}
+    load = [0] * n_slots
     full = 0 if n_channels > 0 else -1
     placed = []
     for pos, option in enumerate(options):
-        _cand, links, starts = option
+        links = option[1]
         bad = 0
         h = 0
         for link in links:
             bad |= (busy[link] | full) >> h
             h += 1
-        free = starts & ~bad
+        free = option[2] & ~bad
         if not free:
             continue
         start = (free & -free).bit_length() - 1
         slot, bit = start, 1 << start
         for link in links:
             busy[link] |= bit
-            n = load.get(slot, 0) + 1
-            load[slot] = n
-            if n == n_channels:
+            load[slot] += 1
+            if load[slot] == n_channels:
                 full |= bit
-            slot, bit = slot + 1, bit << 1
+            slot += 1
+            bit <<= 1
         placed.append((pos, option, start))
     return placed

@@ -391,7 +391,12 @@ def build_path_candidate(topology: TopologySnapshot, hops) -> PathCandidate:
             topology.speeds.get(w, 0.0),
         )
         weight = topology.node_weights[w]
-        align = hop_alignment(pu, pw, topology.positions[dst])
+        pz = topology.positions[dst]
+        align = hop_alignment(
+            planar,
+            math.hypot(pz[0] - pu[0], pz[1] - pu[1]),
+            math.hypot(pz[0] - pw[0], pz[1] - pw[1]),
+        )
         sigma_eff = max(sigma, SIGMA_SCORE_FLOOR)
         mobility.append(min(sd, topology.lifetime_horizon) * weight * align / sigma_eff)
         success *= link.delivery_prob
@@ -435,6 +440,49 @@ def _problem_rows(batch: ControlBatch, v: int, m: int) -> ControlBatch:
         np.repeat(batch.present[v : v + 1, :k], m, axis=0),
         batch.safety,
     )
+
+
+def crossover_mutate(parent_a, parent_b, params, rng, control_bounds, routing_sizes) -> tuple:
+    """Variation with one scalar rng.random() per routing gene and child,
+    the reference for the draws of optimizer.crossover_mutate."""
+    a_control, b_control = parent_a.control_genes, parent_b.control_genes
+    a_routing, b_routing = parent_a.routing_genes, parent_b.routing_genes
+    if rng.random() < params.crossover_rate:
+        beta = rng.random(size=a_control.shape)
+        swap = rng.random(size=a_routing.shape) < 0.5
+        children = (
+            Individual(
+                beta * a_control + (1 - beta) * b_control, np.where(swap, b_routing, a_routing)
+            ),
+            Individual(
+                (1 - beta) * a_control + beta * b_control, np.where(swap, a_routing, b_routing)
+            ),
+        )
+    else:
+        children = (parent_a.copy(), parent_b.copy())
+    r_bound, a_bound = control_bounds
+    noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
+    upper = np.array([r_bound, a_bound])
+    lower = -upper
+    for child in children:
+        if params.mutation_rate > 0 and a_control.size > 0:
+            mask = rng.random(size=a_control.shape) < params.mutation_rate
+            noise = rng.normal(size=a_control.shape)
+            noise *= noise_scale
+            child.control_genes = child.control_genes + mask * noise
+        genes = child.control_genes
+        np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
+        if params.mutation_rate > 0 and a_routing.size > 0:
+            for i, size in enumerate(routing_sizes):
+                if rng.random() < params.mutation_rate:
+                    child.routing_genes[i] = int(rng.integers(0, size))
+    return children
+
+
+def random_routing_genes(sizes: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """One scalar integers draw per gene, the reference for the routing
+    genes of optimizer.random_individual."""
+    return np.array([rng.integers(0, s) for s in sizes], dtype=int)
 
 
 def evaluate_population(individuals, ctx: JointContext) -> None:

@@ -43,11 +43,15 @@ def test_traced_run_reports_layer_metrics(tracer_mod, mode, busy, tmp_path):
     assert metrics[busy][0] > 0
     # span names are registered when the tracer is installed, so without
     # these a harness that stopped calling decode_schedule would pass while
-    # the decode routed ratio read 0, and kernel calls moved from the GA's
-    # module into control would pass while counted as DMPC calls
+    # the decode routed ratio read 0, kernel calls moved from the GA's
+    # module into control would pass while counted as DMPC calls, and path
+    # search or variation moved out of the wrapped functions would pass
+    # while its time went unattributed
     if mode == "dynaroute":
         assert metrics["optimizer.decode_schedule.calls"][0] > 0
         assert metrics["control.rollout_candidates.ga.calls"][0] > 0
+        assert metrics["optimizer.crossover_mutate.calls"][0] > 0
+        assert metrics["scheduling.candidate_paths.calls"][0] > 0
     else:
         assert metrics["control.rollout_candidates.dmpc.calls"][0] > 0
     assert metrics["harness.build_scenario.calls"][0] == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dynaroute.harness import (
     lead_acceleration,
     run,
 )
-from dynaroute.scheduling import Packet
+from dynaroute.scheduling import Packet, TopologySnapshot
 
 
 def quick_config(case="case1", **kw):
@@ -193,6 +194,22 @@ def test_assign_routes_memo_gives_every_packet_its_own_route():
             assert ps.path_value == 0.0  # baseline routes carry no score
             voids += hops is None
     assert voids and shared
+
+
+def test_repair_routing_asks_the_path_search_for_one_path(monkeypatch):
+    # dynaroute re-routes a packet whose next link is gone with the head of
+    # the ranking, so it asks for keep=1; the GA step asks for the full list
+    calls = []
+    search = TopologySnapshot.candidate_paths
+
+    def spy(self, source, destination, max_hops, keep=None):
+        calls.append((sys._getframe(1).f_code.co_name, keep))
+        return search(self, source, destination, max_hops, keep)
+
+    monkeypatch.setattr(TopologySnapshot, "candidate_paths", spy)
+    run(quick_config(duration=5.0), seed=0, mode="dynaroute")
+    assert {keep for caller, keep in calls if caller == "_assign_routes"} == {1}
+    assert {keep for caller, keep in calls if caller == "_ga_step"} == {None}
 
 
 def test_zero_traffic_flat_profile_equilibrium():

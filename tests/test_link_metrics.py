@@ -18,9 +18,9 @@ from dynaroute.scheduling import SIGMA_SCORE_FLOOR, TopologySnapshot, path_score
 
 
 def hop(numerator: float, prob: float) -> tuple:
-    """Per-hop factors (staying time, delivery prob, node weight, mobility
-    numerator) as TopologySnapshot.hop_factors caches them for path_score."""
-    return (numerator, prob, 1.0, numerator)
+    """Per-hop factors (delivery prob, mobility numerator) as
+    TopologySnapshot.hop_factors caches them for path_score."""
+    return (prob, numerator)
 
 
 def score(factors: list, sigma: float) -> float:

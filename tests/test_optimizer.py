@@ -289,6 +289,52 @@ def test_mutation_keeps_routing_in_range():
             assert np.all(np.abs(child.control_genes[..., 1]) <= 1.0 + 1e-12)
 
 
+def test_variation_draws_match_scalar_reference():
+    # routing mutation tests draw through the bit generator's next_double;
+    # children and the generator's later random, integers and choice draws
+    # must equal those of one scalar rng.random() per gene, also when an
+    # earlier integers draw left half of a 64-bit word buffered
+    checked = 0
+    for seed in range(40):
+        meta = np.random.default_rng(seed)
+        sizes = meta.integers(1, 9, size=int(meta.integers(1, 25))).tolist()
+        shape = (int(meta.integers(1, 4)), int(meta.integers(1, 5)), 2)
+        pa = Individual(meta.uniform(-2.0, 2.0, shape), meta.integers(0, sizes))
+        pb = Individual(meta.uniform(-2.0, 2.0, shape), meta.integers(0, sizes))
+        for rate in (0.0, 0.1, 1.0):
+            params = GaParams(crossover_rate=float(meta.choice([0.0, 0.9])), mutation_rate=rate)
+            for buffered in (False, True):
+                fast, slow = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+                if buffered:
+                    fast.integers(0, 5), slow.integers(0, 5)
+                got = crossover_mutate(pa, pb, params, fast, (0.5, 1.5), sizes)
+                want = oracles.crossover_mutate(pa, pb, params, slow, (0.5, 1.5), sizes)
+                for g, w in zip(got, want):
+                    assert g.control_genes.tobytes() == w.control_genes.tobytes()
+                    assert g.routing_genes.tolist() == w.routing_genes.tolist()
+                assert fast.random() == slow.random()
+                assert fast.integers(0, 1000) == slow.integers(0, 1000)
+                assert (fast.choice(10, size=3, replace=False).tolist()
+                        == slow.choice(10, size=3, replace=False).tolist())
+                checked += 1
+    assert checked == 40 * 3 * 2
+
+
+def test_random_individual_draws_match_scalar_reference():
+    ctx, _ = make_context(n_packets=4)
+    for seed in range(20):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            fast.integers(0, 5), slow.integers(0, 5)
+        ind = optimizer.random_individual(ctx, fast)
+        cfg = ctx.platoon
+        slow.uniform(-cfg.comfort_r, cfg.comfort_r, size=ind.control_genes[..., 0].shape)
+        slow.uniform(-cfg.comfort_a, cfg.comfort_a, size=ind.control_genes[..., 1].shape)
+        want = oracles.random_routing_genes(ctx.routing_gene_sizes(), slow)
+        assert ind.routing_genes.tolist() == want.tolist()
+        assert fast.random() == slow.random() and fast.integers(0, 9) == slow.integers(0, 9)
+
+
 def test_evaluate_empty_routing_genome():
     ctx, _ = make_context(n_packets=0)
     ind = Individual(

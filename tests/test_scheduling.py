@@ -8,7 +8,16 @@ import pytest
 import oracles
 from dynaroute.channel import LinkSnapshot
 from dynaroute.link_metrics import NodeStatus
-from dynaroute.scheduling import Packet, ScheduleDecision, TopologySnapshot, enumerate_paths
+from dynaroute.scheduling import (
+    Packet,
+    ScheduleDecision,
+    TopologySnapshot,
+    _item_paths,
+    _loop_free_hops,
+    _search_items,
+    enumerate_paths,
+    path_scores,
+)
 from oracles import (
     check_feasible,
     grants,
@@ -80,14 +89,21 @@ def test_enumerate_paths_no_route():
 
 def test_replaced_snapshot_builds_its_own_caches():
     # a snapshot changed with dataclasses.replace must not answer from the
-    # neighbor lists, scores or paths cached by the one it was made from
+    # neighbor lists, link and destination tables, hop factors or paths
+    # cached by the one it was made from
     topo = complete_topology(3)
     assert sorted(c.hops for c in topo.candidate_paths(0, 2, 2)) == [(0, 1, 2), (0, 2)]
+    assert topo.candidate_paths(0, 2, 2, keep=1) == topo.candidate_paths(0, 2, 2)[:1]
+    assert topo.toward(1).best_weighted[0] > 0.0  # via relay 2
     cut = dataclasses.replace(
         topo, links={key: link for key, link in topo.links.items() if key != (0, 2)}
     )
     assert cut.neighbors(0) == [1]
+    assert (0, 2) not in cut.link_table and (0, 2) in topo.link_table
+    assert cut.toward(1).best_weighted[0] == 0.0 and cut.toward(1).best_prob[0] == 0.0
     assert [c.hops for c in cut.candidate_paths(0, 2, 2)] == [(0, 1, 2)]
+    assert [c.hops for c in cut.candidate_paths(0, 2, 2, keep=1)] == [(0, 1, 2)]
+    assert (0, 2, 2) not in cut._hop_cache
     assert cut.candidate_paths(0, 2, 2) == oracles.candidate_paths(cut, 0, 2, 2)
 
 
@@ -277,7 +293,7 @@ def test_candidate_paths_match_reference_scoring_exactly():
         topo = random_scoring_topology(seed)
         reference_topo = random_scoring_topology(seed)
         for src, dst in itertools.permutations(sorted(topo.positions), 2):
-            for max_hops in (1, 2, 3):
+            for max_hops in (1, 2, 3, 4):
                 kept = topo.candidate_paths(src, dst, max_hops)
                 assert kept == oracles.candidate_paths(reference_topo, src, dst, max_hops)
                 compared += len(kept)
@@ -294,3 +310,39 @@ def test_enumerate_paths_lexicographic_in_node_repr():
             assert enumerate_paths(topo, src, dst, 3) == [
                 oracles.build_path_candidate(reference_topo, h) for h in hops
             ]
+
+
+def test_search_bounds_cover_every_path_and_its_score():
+    # the search items split the loop-free paths between them, and no path
+    # scores above the bound of its item, at any hop limit
+    bounded = 0
+    for seed in range(60):
+        topo = random_scoring_topology(seed)
+        for src, dst in itertools.permutations(sorted(topo.positions), 2):
+            for max_hops in (1, 2, 3, 4):
+                covered = []
+                for bound, hops in _search_items(topo, src, dst, max_hops):
+                    paths = _item_paths(topo, hops, dst, max_hops)
+                    for score in path_scores(topo, paths):
+                        assert score <= bound, (seed, hops, score, bound)
+                    covered += paths
+                    bounded += math.isfinite(bound) * len(paths)
+                assert sorted(covered) == sorted(_loop_free_hops(topo, src, dst, max_hops))
+    assert bounded > 10000
+
+
+def test_keep_one_matches_reference_head_before_and_after_full_list():
+    compared = 0
+    for seed in range(60):
+        reference_topo = random_scoring_topology(seed)
+        alone, after_full = random_scoring_topology(seed), random_scoring_topology(seed)
+        for src, dst in itertools.permutations(sorted(reference_topo.positions), 2):
+            for max_hops in (1, 2, 3):
+                head = oracles.candidate_paths(reference_topo, src, dst, max_hops)[:1]
+                assert alone.candidate_paths(src, dst, max_hops, keep=1) == head
+                full = after_full.candidate_paths(src, dst, max_hops)
+                assert after_full.candidate_paths(src, dst, max_hops, keep=1) == head == full[:1]
+                # answered from the cached full list, not searched again
+                assert (src, dst, max_hops, 1) not in after_full._path_cache or after_full.path_cap == 1
+                compared += len(head)
+    assert compared > 500
