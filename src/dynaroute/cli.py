@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -66,11 +67,15 @@ def _sweep_configs(cfg, param: str, value: float):
 
 
 def _cmd_sweep(args) -> int:
+    # every variant is built, and so checked, before the first run
     try:
         cfg = _load(args.config, args.loss_case)
         values = [float(v) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ConfigError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"sweep values must be finite, got {args.values!r}")
+        variants = [_sweep_configs(cfg, args.param, value) for value in values]
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -79,8 +84,7 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["param,value,mode,seed,throughput_bps,mean_delay_s,min_gap_m,max_abs_accel"]
     collided = False
-    for value in values:
-        variant = _sweep_configs(cfg, args.param, value)
+    for value, variant in zip(values, variants):
         for mode in ("dynaroute", "baseline"):
             for offset in range(args.seeds):
                 seed = args.seed + offset

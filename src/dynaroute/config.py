@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,8 +178,8 @@ _RETIRED = {
 }
 
 # Python types a value of each field annotation may have; bool is an int
-# subclass but counts only for "bool". rsu_positions ("tuple") is checked
-# on its own.
+# subclass but counts only for "bool", and json's NaN and Infinity count for
+# no kind. rsu_positions ("tuple") is checked on its own.
 _KINDS = {
     "int": (int,),
     "float": (int, float),
@@ -196,12 +197,19 @@ def _is_kind(value, kind: str) -> bool:
         )
     if isinstance(value, bool):
         return kind == "bool"
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, _KINDS[kind])
 
 
 def _check_kind(value, kind: str, name: str) -> None:
     if not _is_kind(value, kind):
-        wanted = "a list of [x, y] number pairs" if kind == "tuple" else f"of type {kind}"
+        if kind == "tuple":
+            wanted = "a list of [x, y] finite number pairs"
+        elif "float" in kind:
+            wanted = f"of type {kind} and finite"
+        else:
+            wanted = f"of type {kind}"
         raise ConfigError(f"'{name}' must be {wanted}, got {value!r}")
 
 

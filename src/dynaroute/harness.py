@@ -430,9 +430,9 @@ def run(config: ScenarioConfig | None = None, seed: int = 0, mode: str = "dynaro
 
 
 def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
-    """Joint GA over the earliest-deadline packets and the followers' input
-    sequences: route the packets on the champion's decoded schedule and
-    hold its inputs for the followers."""
+    """GA step over the followers' input sequences: route the
+    earliest-deadline packets by the best-value-first deadline-order fit
+    (decode_schedule) and hold the champion's inputs for the followers."""
     config = world.config
     ga_packets = _select_ga_packets(world.pending, config.ga_packet_cap)
     packets = []
@@ -467,7 +467,7 @@ def _ga_step(world: World, topo: TopologySnapshot, k: int) -> None:
     )
     rng_seed = int(np.random.SeedSequence((world.seed, 3, k)).generate_state(1)[0])
     world.champion = champion = best_of(evolve(ctx, config.ga, rng_seed))
-    decision = decode_schedule(ctx, champion.routing_genes)
+    decision = decode_schedule(ctx)
     routed = {pid: cand for (pid, _k0), cand in decision.route_assign.items()}
     for ps in ga_packets:
         cand = routed.get(ps.packet.id)
@@ -586,8 +586,8 @@ def _assign_routes(world: World, topo: TopologySnapshot) -> None:
 
 def _grant_channels(world: World, topo: TopologySnapshot) -> list:
     """(packet id, link, link snapshot) per granted request: at most
-    n_channels grants and one per link. The joint optimizer serves by path
-    value (what its routing objective Y sums), letting hopeless requests
+    n_channels grants and one per link. Dynaroute serves by path
+    value (what the GA's routing value Y sums), letting hopeless requests
     expire; the baseline has no value concept and serves in arrival order."""
     config = world.config
     requests = []

@@ -1,10 +1,15 @@
-"""NSGA-II over joint control/routing genomes: feasible-first domination on
+"""NSGA-II over the followers' control inputs: feasible-first domination on
 (transmission value, -control cost), fast non-dominated sorting, the combined
 subtractive crowding rule, simplex-lattice reference points with niche-based
-truncation, tournament selection and blend/uniform variation.
+truncation, tournament selection and blend crossover with Gaussian mutation.
 
-Objectives are evaluated against an immutable JointContext snapshot; all
-stochastic draws come from one seeded generator so runs are reproducible.
+The GA optimises control only. Its packets are routed by one
+best-value-first deadline-order fit per context (scheduling.
+fit_deadline_order), and the transmission value Y is that fit's summed path
+value, the same for every genome; so genomes rank by feasibility, then by
+the control cost J. Objectives are evaluated against an immutable
+JointContext snapshot; all stochastic draws come from one seeded generator
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -54,10 +59,9 @@ class GaParams:
 
 @dataclass(eq=False)
 class Individual:
-    """One genome: per-vehicle input sequences plus per-packet path choices."""
+    """One genome: per-follower input sequences, (followers, horizon, 2)."""
 
     control_genes: np.ndarray
-    routing_genes: np.ndarray
     objective_y: float = math.nan
     objective_j: float = math.nan
     feasible: bool = False
@@ -66,16 +70,10 @@ class Individual:
     indicators: tuple = (0.0, 0.0, 0.0)
 
     def genome_key(self) -> tuple:
-        return (
-            tuple(int(g) for g in self.routing_genes),
-            tuple(float(g) for g in self.control_genes.ravel()),
-        )
+        return tuple(self.control_genes.ravel().tolist())
 
     def copy(self) -> "Individual":
-        return Individual(
-            control_genes=self.control_genes.copy(),
-            routing_genes=self.routing_genes.copy(),
-        )
+        return Individual(control_genes=self.control_genes.copy())
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,8 @@ class ReferencePointSet:
 class JointContext:
     """Evaluation snapshot: the followers' control problems, one
     control.ControlBatch row each, plus the pending packet set with
-    pre-scored candidate paths and the channel budget."""
+    pre-scored candidate paths and the channel budget, which the
+    deadline-order fit routes once per context."""
 
     platoon: PlatoonConfig
     control: ControlBatch
@@ -115,12 +114,20 @@ class JointContext:
             rows = self._repeated[n] = self.control.repeat(n)
         return rows
 
-    def routing_gene_sizes(self) -> list:
-        return [max(len(c), 1) for c in self.candidates]
-
     @cached_property
     def decode_table(self) -> "DecodeTable":
         return DecodeTable.build(self)
+
+    @cached_property
+    def fit(self) -> list:
+        """(row position in decode_table, option, start bit) per placed
+        packet, in deadline order: scheduling.fit_deadline_order over each
+        packet's candidates, best value first."""
+        table = self.decode_table
+        return fit_deadline_order(
+            [options for _i, _packet, options in table.rows],
+            table.n_links, table.n_channels, table.n_slots,
+        )
 
 
 @dataclass(frozen=True)
@@ -153,27 +160,18 @@ class DecodeTable:
             ctx.schedule_end - ctx.schedule_start,
         )
 
-    def fit(self, routing_genes: np.ndarray) -> list:
-        """(row position, option, start bit) per placed packet, in deadline
-        order: each packet tries only its gene-chosen path (gene modulo the
-        number of candidates), at the earliest workable start."""
-        genes = np.asarray(routing_genes, dtype=int).tolist()
-        return fit_deadline_order(
-            [options[genes[i] % len(options)] for i, _packet, options in self.rows],
-            self.n_links, self.n_channels, self.n_slots,
-        )
 
+def decode_schedule(ctx: JointContext) -> ScheduleDecision:
+    """The routes of the context's packets.
 
-def decode_schedule(ctx: JointContext, routing_genes: np.ndarray) -> ScheduleDecision:
-    """Turn per-packet path indices into routes.
-
-    Packets are fitted in deadline order at their earliest workable start
-    slot (DecodeTable.fit); a packet without one gets no route.
+    Packets are fitted in deadline order, each on its best-valued candidate
+    that has a workable start slot, at the earliest such slot
+    (JointContext.fit); a packet without one gets no route.
     """
     table = ctx.decode_table
     return ScheduleDecision({
         (table.rows[pos][1].id, table.origin + start): option.cand
-        for pos, option, start in table.fit(routing_genes)
+        for pos, option, start in ctx.fit
     })
 
 
@@ -181,17 +179,16 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
     """Score genomes in place, with one batch of control rollouts over all
     (follower, genome) rows.
 
-    Y sums the path values of the routes decode_schedule would return, in
-    deadline order, from the fit alone. J, feasibility and the niching
-    indicators are summed over followers in follower order.
+    Y sums the path values of the routes decode_schedule returns, in
+    deadline order; it is the same for every genome. J, feasibility and the
+    niching indicators are summed over followers in follower order.
     """
     n = len(individuals)
     if n == 0:
         return
-    table = ctx.decode_table
+    routing_value = sum([option.cand.path_value for _pos, option, _start in ctx.fit])
     for ind in individuals:
-        placed = table.fit(ind.routing_genes)
-        ind.objective_y = sum([option.cand.path_value for _pos, option, _start in placed])
+        ind.objective_y = routing_value
 
     cfg = ctx.platoon
     costs = np.zeros(n)
@@ -389,49 +386,33 @@ def crossover_mutate(
     params: GaParams,
     rng: np.random.Generator,
     control_bounds: tuple,
-    routing_sizes: Sequence[int],
 ) -> tuple:
     """Blend crossover + bounded Gaussian mutation on control genes, clipped
-    to +-control_bounds (r bound, a bound); uniform crossover + index resampling
-    below routing_sizes on routing genes."""
+    to +-control_bounds (r bound, a bound)."""
     if parent_a.control_genes.shape != parent_b.control_genes.shape:
         raise ValueError("parents must share the genome shape")
     a_control, b_control = parent_a.control_genes, parent_b.control_genes
-    a_routing, b_routing = parent_a.routing_genes, parent_b.routing_genes
     if rng.random() < params.crossover_rate:
         beta = rng.random(size=a_control.shape)
-        swap = rng.random(size=a_routing.shape) < 0.5
         rest = 1 - beta
         children = (
-            Individual(beta * a_control + rest * b_control, np.where(swap, b_routing, a_routing)),
-            Individual(rest * a_control + beta * b_control, np.where(swap, a_routing, b_routing)),
+            Individual(beta * a_control + rest * b_control),
+            Individual(rest * a_control + beta * b_control),
         )
     else:
         children = (parent_a.copy(), parent_b.copy())
 
-    mutate_control = params.mutation_rate > 0 and a_control.size > 0
-    mutate_routing = params.mutation_rate > 0 and a_routing.size > 0
-    # rng.random() without its Python call: the same double from the same
-    # stream position, leaving the buffered 32-bit half that integers and
-    # choice read untouched
-    bits = rng.bit_generator.ctypes
-    next_double, state = bits.next_double, bits.state
-    rate = params.mutation_rate
+    mutate = params.mutation_rate > 0 and a_control.size > 0
     noise_scale, lower, upper = _bound_arrays(*control_bounds)
     for child in children:
-        if mutate_control:
-            mask = rng.random(size=a_control.shape) < rate
+        if mutate:
+            mask = rng.random(size=a_control.shape) < params.mutation_rate
             noise = rng.normal(size=a_control.shape)
             noise *= noise_scale
             child.control_genes = child.control_genes + mask * noise
         # np.clip per input column, as one max/min pair over both
         genes = child.control_genes
         np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
-        if mutate_routing:
-            routing = child.routing_genes
-            for i, size in enumerate(routing_sizes):
-                if next_double(state) < rate:
-                    routing[i] = rng.integers(0, size)
     return children
 
 
@@ -451,23 +432,13 @@ def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual
     control = np.empty((ctx.n_vehicles, cfg.horizon, 2))
     control[..., 0] = rng.uniform(-cfg.comfort_r, cfg.comfort_r, size=control[..., 0].shape)
     control[..., 1] = rng.uniform(-cfg.comfort_a, cfg.comfort_a, size=control[..., 1].shape)
-    sizes = ctx.routing_gene_sizes()
-    # one draw per gene in gene order, as scalar integers calls would make
-    routing = rng.integers(0, sizes)
-    return Individual(control_genes=control, routing_genes=routing)
+    return Individual(control_genes=control)
 
 
 def _initial_population(ctx: JointContext, params: GaParams, rng) -> list:
-    population = []
-    sizes = ctx.routing_gene_sizes()
-    greedy_routing = np.zeros(len(sizes), dtype=int)
-    zero_control = np.zeros((ctx.n_vehicles, ctx.platoon.horizon, 2))
-    population.append(Individual(control_genes=zero_control, routing_genes=greedy_routing.copy()))
+    population = [Individual(control_genes=np.zeros((ctx.n_vehicles, ctx.platoon.horizon, 2)))]
     for genes in ctx.seed_control:
-        population.append(
-            Individual(control_genes=np.asarray(genes, dtype=float).copy(),
-                       routing_genes=greedy_routing.copy())
-        )
+        population.append(Individual(control_genes=np.asarray(genes, dtype=float).copy()))
         if len(population) >= params.population:
             break
     while len(population) < params.population:
@@ -516,7 +487,6 @@ def evolve(
         stats.setdefault("best_j", [])
 
     bounds = (ctx.platoon.comfort_r, ctx.platoon.comfort_a)
-    sizes = ctx.routing_gene_sizes()
 
     champion = best_of(population)
     for _gen in range(params.generations):
@@ -524,7 +494,7 @@ def evolve(
         while len(offspring) < params.population:
             pa = tournament_select(population, params.tournament_size, rng)
             pb = tournament_select(population, params.tournament_size, rng)
-            ca, cb = crossover_mutate(pa, pb, params, rng, bounds, sizes)
+            ca, cb = crossover_mutate(pa, pb, params, rng, bounds)
             offspring.extend([ca, cb])
         offspring = offspring[: params.population]
         evaluate_population(offspring, ctx)

@@ -1,7 +1,7 @@
 """Deadline-constrained packet routing: the topology snapshot, the
 mobility-aware path score, the best-first search for the best-scored
-loop-free paths and the deadline-order fit that decides which GA packets
-get a route.
+loop-free paths and the best-value-first deadline-order fit that routes
+the GA packets.
 
 A packet assigned at slot k0 to an H-hop path crosses hop h at slot k0+h-1
 and must finish inside its deadline window. The fit keeps each slot within
@@ -425,9 +425,9 @@ def enumerate_paths(
 
 @dataclass
 class ScheduleDecision:
-    """Routes of one decoded GA genome: route_assign maps (packet_id,
-    start_slot) to the chosen PathCandidate. The run grants channels slot by
-    slot by path value, so no channel plan is kept."""
+    """Routes of the GA packets from the deadline-order fit: route_assign
+    maps (packet_id, start_slot) to the chosen PathCandidate. The run grants
+    channels slot by slot by path value, so no channel plan is kept."""
 
     route_assign: dict = field(default_factory=dict)
 
@@ -463,31 +463,38 @@ def slot_options(
     return tuple(options)
 
 
-def fit_deadline_order(options: Iterable, n_links: int, n_channels: int, n_slots: int) -> list:
-    """The deadline-order schedule fit of the GA decode.
+def fit_deadline_order(
+    packet_options: Iterable, n_links: int, n_channels: int, n_slots: int
+) -> list:
+    """The best-value-first deadline-order fit that routes the GA packets.
 
-    options holds one SlotOption per packet, in fitting order, with start
-    bits counted from the slot origin; every hop falls before slot
-    origin + n_slots. Each is placed at its earliest workable start, where
-    every hop h of a start s needs link l_h idle and a free channel in slot
-    s + h; a packet without one stays unplaced. Occupancy is kept as
-    integer bitmasks over slots, so one route per packet and one
-    transmission per link-slot hold by construction. Returns (position in
-    options, option, start bit) per placed packet.
+    packet_options holds, per packet in fitting order, the packet's
+    SlotOptions in candidate order (by value, ties in enumeration order),
+    with start bits counted from the slot origin; every hop falls before
+    slot origin + n_slots. Each packet takes the first option that has a
+    workable start, at that option's earliest one, where every hop h of a
+    start s needs link l_h idle and a free channel in slot s + h; a packet
+    without one stays unplaced. Occupancy is kept as integer bitmasks over
+    slots, so one route per packet and one transmission per link-slot hold
+    by construction. Returns (position in packet_options, option, start
+    bit) per placed packet.
     """
     busy = [0] * n_links
     load = [0] * n_slots
     full = 0 if n_channels > 0 else -1
     placed = []
-    for pos, option in enumerate(options):
-        links = option[1]
-        bad = 0
-        h = 0
-        for link in links:
-            bad |= (busy[link] | full) >> h
-            h += 1
-        free = option[2] & ~bad
-        if not free:
+    for pos, options in enumerate(packet_options):
+        for option in options:
+            links = option[1]
+            bad = 0
+            h = 0
+            for link in links:
+                bad |= (busy[link] | full) >> h
+                h += 1
+            free = option[2] & ~bad
+            if free:
+                break
+        else:
             continue
         start = (free & -free).bit_length() - 1
         slot, bit = start, 1 << start

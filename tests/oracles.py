@@ -112,40 +112,42 @@ def dominates(a: Individual, b: Individual) -> bool:
     return no_worse and better
 
 
-def decode_schedule(ctx: JointContext, routing_genes) -> ScheduleDecision:
-    """Deadline-order decode over (link, slot) sets: each packet takes its
-    gene-chosen candidate at the earliest start whose hops find the link
-    idle and a channel free."""
+def decode_schedule(ctx: JointContext) -> ScheduleDecision:
+    """Best-value-first deadline-order fit over (link, slot) sets: packets
+    in (last slot, id) order, each trying its candidates in order (by value,
+    ties in enumeration order); the first candidate with a start whose hops
+    find the link idle and a channel free wins, at its earliest such start."""
     decision = ScheduleDecision()
     slot_load: dict = {}
     link_busy: set = set()
     order = sorted(range(len(ctx.packets)), key=lambda i: (ctx.packets[i].last_slot, ctx.packets[i].id))
     for i in order:
         packet: Packet = ctx.packets[i]
-        cands = ctx.candidates[i]
-        if not cands:
-            continue
-        cand = cands[int(routing_genes[i]) % len(cands)]
-        n_hops = len(cand.hops) - 1
-        first = max(packet.arrival_slot, ctx.schedule_start)
-        last_start = min(packet.last_slot - n_hops + 1, ctx.schedule_end - n_hops)
-        for k0 in range(first, last_start + 1):
-            events = hop_slots(cand, k0)
-            ok = True
-            counts: dict = {}
-            for link, slot in events:
-                if (link, slot) in link_busy:
-                    ok = False
-                    break
-                counts[slot] = counts.get(slot, 0) + 1
-                if slot_load.get(slot, 0) + counts[slot] > ctx.n_channels:
-                    ok = False
-                    break
-            if ok:
-                decision.route_assign[(packet.id, k0)] = cand
+        placed = False
+        for cand in ctx.candidates[i]:
+            n_hops = len(cand.hops) - 1
+            first = max(packet.arrival_slot, ctx.schedule_start)
+            last_start = min(packet.last_slot - n_hops + 1, ctx.schedule_end - n_hops)
+            for k0 in range(first, last_start + 1):
+                events = hop_slots(cand, k0)
+                ok = True
+                counts: dict = {}
                 for link, slot in events:
-                    link_busy.add((link, slot))
-                    slot_load[slot] = slot_load.get(slot, 0) + 1
+                    if (link, slot) in link_busy:
+                        ok = False
+                        break
+                    counts[slot] = counts.get(slot, 0) + 1
+                    if slot_load.get(slot, 0) + counts[slot] > ctx.n_channels:
+                        ok = False
+                        break
+                if ok:
+                    decision.route_assign[(packet.id, k0)] = cand
+                    for link, slot in events:
+                        link_busy.add((link, slot))
+                        slot_load[slot] = slot_load.get(slot, 0) + 1
+                    placed = True
+                    break
+            if placed:
                 break
     return decision
 
@@ -442,47 +444,45 @@ def _problem_rows(batch: ControlBatch, v: int, m: int) -> ControlBatch:
     )
 
 
-def crossover_mutate(parent_a, parent_b, params, rng, control_bounds, routing_sizes) -> tuple:
-    """Variation with one scalar rng.random() per routing gene and child,
-    the reference for the draws of optimizer.crossover_mutate."""
+def crossover_mutate(parent_a, parent_b, params, rng, control_bounds) -> tuple:
+    """Control-only variation, one scalar draw per gene: the reference for
+    the draws of optimizer.crossover_mutate. A crossover test, then per gene
+    a blend weight; per child, per gene a mutation test, then per gene a
+    normal draw; then the box clip."""
     a_control, b_control = parent_a.control_genes, parent_b.control_genes
-    a_routing, b_routing = parent_a.routing_genes, parent_b.routing_genes
+    shape = a_control.shape
     if rng.random() < params.crossover_rate:
-        beta = rng.random(size=a_control.shape)
-        swap = rng.random(size=a_routing.shape) < 0.5
+        beta = np.array([rng.random() for _ in range(a_control.size)]).reshape(shape)
         children = (
-            Individual(
-                beta * a_control + (1 - beta) * b_control, np.where(swap, b_routing, a_routing)
-            ),
-            Individual(
-                (1 - beta) * a_control + beta * b_control, np.where(swap, a_routing, b_routing)
-            ),
+            Individual(beta * a_control + (1 - beta) * b_control),
+            Individual((1 - beta) * a_control + beta * b_control),
         )
     else:
-        children = (parent_a.copy(), parent_b.copy())
+        children = (Individual(a_control.copy()), Individual(b_control.copy()))
     r_bound, a_bound = control_bounds
-    noise_scale = np.array([0.25 * r_bound, 0.25 * a_bound])
-    upper = np.array([r_bound, a_bound])
-    lower = -upper
     for child in children:
         if params.mutation_rate > 0 and a_control.size > 0:
-            mask = rng.random(size=a_control.shape) < params.mutation_rate
-            noise = rng.normal(size=a_control.shape)
-            noise *= noise_scale
+            mask = np.array(
+                [rng.random() < params.mutation_rate for _ in range(a_control.size)]
+            ).reshape(shape)
+            noise = np.array([rng.normal() for _ in range(a_control.size)]).reshape(shape)
+            noise *= np.array([0.25 * r_bound, 0.25 * a_bound])
             child.control_genes = child.control_genes + mask * noise
-        genes = child.control_genes
-        np.minimum(np.maximum(genes, lower, out=genes), upper, out=genes)
-        if params.mutation_rate > 0 and a_routing.size > 0:
-            for i, size in enumerate(routing_sizes):
-                if rng.random() < params.mutation_rate:
-                    child.routing_genes[i] = int(rng.integers(0, size))
+        child.control_genes = np.clip(child.control_genes, [-r_bound, -a_bound], [r_bound, a_bound])
     return children
 
 
-def random_routing_genes(sizes: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """One scalar integers draw per gene, the reference for the routing
-    genes of optimizer.random_individual."""
-    return np.array([rng.integers(0, s) for s in sizes], dtype=int)
+def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual:
+    """One scalar uniform draw per gene, all speed inputs first, then all
+    accelerations: the reference for optimizer.random_individual."""
+    cfg = ctx.platoon
+    shape = (ctx.n_vehicles, cfg.horizon)
+    control = np.empty(shape + (2,))
+    for column, bound in ((0, cfg.comfort_r), (1, cfg.comfort_a)):
+        control[..., column] = np.array(
+            [rng.uniform(-bound, bound) for _ in range(shape[0] * shape[1])]
+        ).reshape(shape)
+    return Individual(control)
 
 
 def evaluate_population(individuals, ctx: JointContext) -> None:

@@ -151,9 +151,7 @@ def test_sorting_oracle():
     for _trial in range(100):
         population = []
         for _ in range(64):
-            ind = Individual(
-                control_genes=np.zeros((0, 2, 2)), routing_genes=np.zeros(0, dtype=int)
-            )
+            ind = Individual(control_genes=np.zeros((0, 2, 2)))
             ind.objective_y = float(rng.integers(0, 10))
             ind.objective_j = float(rng.integers(0, 10))
             ind.feasible = bool(rng.random() < 0.9)

@@ -217,3 +217,26 @@ def test_field_kinds_checked_at_load(section, key, good, bad, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli_main(["validate-config", str(path)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+
+# json reads NaN and Infinity; no float field takes them
+@pytest.mark.parametrize("section, key", [
+    ("traffic", "load"),
+    ("platoon", "comfort_a"),
+    ("scenario", "comm_range"),
+    ("scenario", "rsu_positions"),
+    ("channel", "varpi_linear"),  # float | None
+    ("safety", "a_max"),  # a retired key of kind float
+])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_rejected_at_load(section, key, bad, tmp_path, capsys):
+    data = config_to_dict(default_config())
+    fields = data if section == "scenario" else data[section]
+    fields[key] = [[0.0, "X"]] if key == "rsu_positions" else "X"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data).replace('"X"', bad))
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        load_config(path)
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err

@@ -95,14 +95,14 @@ SERIES_GOLDEN = {
         "c6870247209ad92f213e2af94250f5b353d03848bbdad2f4160c6dddce3b9caa",
     ),
     ("case1-dynaroute", 0): (
-        "8c7164828b396f48bdc80d487e067d5056877b48ada01d7617f7d5669b4decad",
-        "ef6a7d05ea83fd2ade0d4b60ca021c50e9b152c7209d513e708d09d4e02e5985",
-        "e62cb825723578f8da91043c67950c9931417108eca55006bbcde422c12ec47c",
+        "26ba59c3879807401b481e823a177b475a2331a1be8e2813e5e302a32f8626d5",
+        "7a7c15685f73f6bcad7f57962e43c50411857134be697dd183f60602348325fd",
+        "4f1229bf7587e092fa54af82013d2cef0d2387e3bfbd4ed14cdee529ec829f71",
     ),
     ("case1-dynaroute", 1): (
-        "d0b4e9f5c19e44a40521dc2da5170158f1d2b12841f1f5945e56a72d4d65a76b",
-        "4cce47c2d6496420a0a7808624a9a57c72b5f9f486bf175e5848764539d9af2d",
-        "50e3009408cb68ad97fd587af8265af56937da95b687ee6938fb8e1429612449",
+        "e24e0f2e676c9a6e64bc5cda6a37d687b1b88da1675c3256a243969f1b69b979",
+        "23979f5a5c1275e246a2f04bb659e1f51a1850cd24a88d7b09b171b3d2bd9e5d",
+        "f905d057f04a8d67783d1bf8e449f0ccc415a295b1af8239187bcb2d207d3af3",
     ),
     ("case2-baseline", 0): (
         "b48ec6198ef97e9742e14b1261ef55f7a6882bb5f07772ff2a7b5d8ec9dc5ad5",
@@ -115,26 +115,26 @@ SERIES_GOLDEN = {
         "24259847590a82cdfe5b1b8a069b6618c7cbc822718853ea722af492e9825645",
     ),
     ("case2-dynaroute", 0): (
-        "4d7afbe00af567b5d395c98ee9a7bd42f196766784eb81317b1e4ff018932b04",
-        "9a697de17107a9dd7ca577a14a2d334bdef0b8a1283d5221ca0ac50a3d1cf99f",
-        "8d9697fad6a3a011db62fbada01524b2cbf39a345822f40263d8c00eb430e02a",
+        "2087a7ec2b1e15d0fae348693573b0ba3e2c80f8780516615ecf55316097c294",
+        "c3492bda31c6e6e4e3ab1a7ab49027bb1e972a1e7a94867eff9bbc99720ea70e",
+        "660df9461c8ffb73757c00494b339edaf3efb461b9fa1baad7234ee905ba42e9",
     ),
     ("case2-dynaroute", 1): (
-        "07469e60249d7ae5acf3408139e5c6f2813836b982171f380b259f797e95ec0c",
-        "67355198e78d4c1ec42b9d76eda9e6555835a7dfe82f8707da8033c2c83010e7",
-        "e25e682ebf170793760563ec9bebaa31b5bd6470786a031d18fe25fd2c9825e8",
+        "3c4f5b244e790a647b63ed93d3b9df6d4d0c41fd09b0389cf14d501e662230f7",
+        "1108b4c760716903b004cb2cdd568641643dc004ba335ef658d86b6e2a377d36",
+        "9ffbb3ea393d4c5450cabb6a65c0d716eccb560cb0cc996baeff9742117a5077",
     ),
 }
 # (name, seed) -> sha256 of series_digest_text
 SERIES = {
     ("case1-baseline", 0): "87b35e07ea7805b38f1e60aea4d03252e6088703d2b60cbd63250292d693dfe4",
     ("case1-baseline", 1): "1f45fce93a168f8727fb1be0dfa89fa5107f7b6a5111f485d33ec2f49d0bd3fc",
-    ("case1-dynaroute", 0): "d23834b72000f26ad2ede7de22fe7066161690ed68d2ead8ddfaa28e10ba6717",
-    ("case1-dynaroute", 1): "25bacb82516371beae053807c7bb8369bc14cea4c48384bf75d1fafd149ea71a",
+    ("case1-dynaroute", 0): "4ac984db2e35e3328c581d2d4176196476c5e901bc812a88dc2d6f28e258586e",
+    ("case1-dynaroute", 1): "c35866d64cf663148cd31e3af973e350f18b3ed86b7eaba198d5e8a2610fd586",
     ("case2-baseline", 0): "cc54d5742be6562bda80ec875e1acd3a76b47dc8dcffbd06f6ef7aef5431a1ac",
     ("case2-baseline", 1): "c634ac6016360937209fd7facdd0c40595ee85a105a54f97eaa2f49052f7bb8c",
-    ("case2-dynaroute", 0): "149aaa7320946b957db673783abf38695dd4fa5c0152fe4ce7d02edeadb935b4",
-    ("case2-dynaroute", 1): "df5584f461917c71cc698f8dd6b50bf41b322ef80be0c097fc25885b9f1ad6a1",
+    ("case2-dynaroute", 0): "215ed323f6d4878237d1436bf95f283d5fe225d7a47f743be57dad10e8f5c539",
+    ("case2-dynaroute", 1): "69ae1c2fe4cd3c07f71e3815ba604938836a07c57e83f8a13de4a311c99d8782",
 }
 
 

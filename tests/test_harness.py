@@ -481,3 +481,23 @@ def test_cli_sweep_writes_summary(tmp_path):
     lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
     assert lines[0].startswith("param,value,mode,seed")
     assert len(lines) == 1 + 2 * 2  # two values x two modes x one seed
+
+
+@pytest.mark.parametrize("param, values", [
+    ("load", "-1"),
+    ("interval", "0"),
+    ("load", "0.5,-1"),  # a bad value after a good one: still no run
+    ("load", "1,nan"),
+    ("interval", "inf"),
+])
+def test_cli_sweep_rejects_a_bad_value_before_any_run(tmp_path, monkeypatch, capsys, param, values):
+    import dynaroute.cli as cli_mod
+
+    runs = []
+    monkeypatch.setattr(cli_mod, "run", lambda cfg, seed, mode: runs.append(mode))
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", "--param", param, "--values", values, "--out", str(out)])
+    assert rc == 2
+    assert runs == [] and not out.exists()
+    assert "config error" in capsys.readouterr().err
+

@@ -32,9 +32,7 @@ from oracles import dominates
 
 
 def make_individual(y: float, j: float, feasible: bool = True) -> Individual:
-    ind = Individual(
-        control_genes=np.zeros((0, 2, 2)), routing_genes=np.zeros(0, dtype=int)
-    )
+    ind = Individual(control_genes=np.zeros((0, 2, 2)))
     ind.objective_y, ind.objective_j, ind.feasible = y, j, feasible
     return ind
 
@@ -55,12 +53,9 @@ def small_topology() -> TopologySnapshot:
     )
 
 
-def routing_objective(ctx: JointContext, genes) -> float:
-    """Y of a control-free genome with the given routing genes."""
-    ind = Individual(
-        control_genes=np.zeros((0, ctx.platoon.horizon, 2)),
-        routing_genes=np.array(genes, dtype=int),
-    )
+def routing_objective(ctx: JointContext) -> float:
+    """Y of a control-free genome."""
+    ind = Individual(control_genes=np.zeros((0, ctx.platoon.horizon, 2)))
     evaluate_population([ind], ctx)
     return ind.objective_y
 
@@ -257,61 +252,57 @@ def test_tournament_rank_order_wins():
 
 def test_crossover_mutate_zero_rates_copies_parents():
     params = GaParams(population=4, generations=1, crossover_rate=0.0, mutation_rate=0.0)
-    pa = Individual(control_genes=np.ones((1, 3, 2)), routing_genes=np.array([1, 2]))
-    pb = Individual(control_genes=np.zeros((1, 3, 2)), routing_genes=np.array([0, 0]))
-    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(0), (1.0, 1.0), [2, 3])
+    pa = Individual(control_genes=np.ones((1, 3, 2)))
+    pb = Individual(control_genes=np.zeros((1, 3, 2)))
+    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(0), (1.0, 1.0))
     assert np.array_equal(ca.control_genes, pa.control_genes)
-    assert np.array_equal(cb.routing_genes, pb.routing_genes)
+    assert np.array_equal(cb.control_genes, pb.control_genes)
+    assert ca.control_genes is not pa.control_genes
 
 
 def test_crossover_identical_parents_fixed_point():
     params = GaParams(population=4, generations=1, crossover_rate=1.0, mutation_rate=0.0)
-    pa = Individual(control_genes=np.full((1, 3, 2), 0.3), routing_genes=np.array([2]))
-    pb = Individual(control_genes=np.full((1, 3, 2), 0.3), routing_genes=np.array([2]))
-    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(1), (1.0, 1.0), [3])
+    pa = Individual(control_genes=np.full((1, 3, 2), 0.3))
+    pb = Individual(control_genes=np.full((1, 3, 2), 0.3))
+    ca, cb = crossover_mutate(pa, pb, params, np.random.default_rng(1), (1.0, 1.0))
     assert np.allclose(ca.control_genes, 0.3) and np.allclose(cb.control_genes, 0.3)
-    assert ca.routing_genes[0] == 2 and cb.routing_genes[0] == 2
 
 
-def test_mutation_keeps_routing_in_range():
+def test_mutation_keeps_control_in_bounds():
     params = GaParams(population=4, generations=1, crossover_rate=0.0, mutation_rate=1.0)
-    pa = Individual(control_genes=np.zeros((1, 3, 2)), routing_genes=np.array([0, 0]))
-    pb = Individual(control_genes=np.zeros((1, 3, 2)), routing_genes=np.array([1, 1]))
+    pa = Individual(control_genes=np.zeros((1, 3, 2)))
+    pb = Individual(control_genes=np.full((1, 3, 2), 0.05))
     for seed in range(20):
         ca, cb = crossover_mutate(
-            pa, pb, params, np.random.default_rng(seed),
-            control_bounds=(0.1, 1.0), routing_sizes=[3, 4],
+            pa, pb, params, np.random.default_rng(seed), control_bounds=(0.1, 1.0)
         )
         for child in (ca, cb):
-            assert 0 <= child.routing_genes[0] < 3
-            assert 0 <= child.routing_genes[1] < 4
             assert np.all(np.abs(child.control_genes[..., 0]) <= 0.1 + 1e-12)
             assert np.all(np.abs(child.control_genes[..., 1]) <= 1.0 + 1e-12)
 
 
 def test_variation_draws_match_scalar_reference():
-    # routing mutation tests draw through the bit generator's next_double;
     # children and the generator's later random, integers and choice draws
-    # must equal those of one scalar rng.random() per gene, also when an
-    # earlier integers draw left half of a 64-bit word buffered
+    # must equal those of the control-only reference's one scalar draw per
+    # gene, also when an earlier integers draw left half of a 64-bit word
+    # buffered
     checked = 0
     for seed in range(40):
         meta = np.random.default_rng(seed)
-        sizes = meta.integers(1, 9, size=int(meta.integers(1, 25))).tolist()
-        shape = (int(meta.integers(1, 4)), int(meta.integers(1, 5)), 2)
-        pa = Individual(meta.uniform(-2.0, 2.0, shape), meta.integers(0, sizes))
-        pb = Individual(meta.uniform(-2.0, 2.0, shape), meta.integers(0, sizes))
+        shape = (int(meta.integers(0, 4)), int(meta.integers(1, 5)), 2)
+        pa = Individual(meta.uniform(-2.0, 2.0, shape))
+        pb = Individual(meta.uniform(-2.0, 2.0, shape))
         for rate in (0.0, 0.1, 1.0):
             params = GaParams(crossover_rate=float(meta.choice([0.0, 0.9])), mutation_rate=rate)
             for buffered in (False, True):
                 fast, slow = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
                 if buffered:
                     fast.integers(0, 5), slow.integers(0, 5)
-                got = crossover_mutate(pa, pb, params, fast, (0.5, 1.5), sizes)
-                want = oracles.crossover_mutate(pa, pb, params, slow, (0.5, 1.5), sizes)
+                got = crossover_mutate(pa, pb, params, fast, (0.5, 1.5))
+                want = oracles.crossover_mutate(pa, pb, params, slow, (0.5, 1.5))
                 for g, w in zip(got, want):
+                    assert g.control_genes.shape == w.control_genes.shape
                     assert g.control_genes.tobytes() == w.control_genes.tobytes()
-                    assert g.routing_genes.tolist() == w.routing_genes.tolist()
                 assert fast.random() == slow.random()
                 assert fast.integers(0, 1000) == slow.integers(0, 1000)
                 assert (fast.choice(10, size=3, replace=False).tolist()
@@ -321,26 +312,21 @@ def test_variation_draws_match_scalar_reference():
 
 
 def test_random_individual_draws_match_scalar_reference():
-    ctx, _ = make_context(n_packets=4)
     for seed in range(20):
+        ctx, _ = make_context(n_packets=4, with_vehicle=seed % 4 != 3, horizon=2 + seed % 5)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed % 2:
             fast.integers(0, 5), slow.integers(0, 5)
-        ind = optimizer.random_individual(ctx, fast)
-        cfg = ctx.platoon
-        slow.uniform(-cfg.comfort_r, cfg.comfort_r, size=ind.control_genes[..., 0].shape)
-        slow.uniform(-cfg.comfort_a, cfg.comfort_a, size=ind.control_genes[..., 1].shape)
-        want = oracles.random_routing_genes(ctx.routing_gene_sizes(), slow)
-        assert ind.routing_genes.tolist() == want.tolist()
+        got = optimizer.random_individual(ctx, fast)
+        want = oracles.random_individual(ctx, slow)
+        assert got.control_genes.shape == want.control_genes.shape
+        assert got.control_genes.tobytes() == want.control_genes.tobytes()
         assert fast.random() == slow.random() and fast.integers(0, 9) == slow.integers(0, 9)
 
 
-def test_evaluate_empty_routing_genome():
+def test_evaluate_without_packets():
     ctx, _ = make_context(n_packets=0)
-    ind = Individual(
-        control_genes=np.zeros((1, ctx.platoon.horizon, 2)),
-        routing_genes=np.zeros(0, dtype=int),
-    )
+    ind = Individual(control_genes=np.zeros((1, ctx.platoon.horizon, 2)))
     evaluate_population([ind], ctx)
     assert ind.objective_y == 0.0 and ind.feasible
 
@@ -352,17 +338,15 @@ def test_evaluate_perfect_formation_zero_cost():
     ref = extrapolate_states(VehicleState(0.0, 0.0, 0.0, 15.0), cfg.horizon, cfg.dt)
     nb = extrapolate_states(VehicleState(10.0, 0.0, 0.0, 15.0), cfg.horizon, cfg.dt)
     ctx.control = one_follower(VehicleState(0.0, 0.0, 0.0, 15.0), ref, nb)
-    ind = Individual(
-        control_genes=np.zeros((1, cfg.horizon, 2)), routing_genes=np.zeros(0, dtype=int)
-    )
+    ind = Individual(control_genes=np.zeros((1, cfg.horizon, 2)))
     evaluate_population([ind], ctx)
     assert ind.objective_j == pytest.approx(0.0, abs=1e-9)
     assert ind.feasible
 
 
 def test_evaluate_matches_exact_scheduler_on_toy():
-    # two packets on disjoint pairs with ample channels: the decoded genome
-    # objective must equal the exhaustive maximizer exactly
+    # two packets on disjoint pairs with ample channels: the fit's Y must
+    # equal the exhaustive maximizer exactly
     positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (10.0, 6.0), 3: (90.0, 6.0)}
     speeds = {0: 15.0, 1: 15.5, 2: 16.0, 3: 16.5}
     links = {
@@ -384,11 +368,7 @@ def test_evaluate_matches_exact_scheduler_on_toy():
         candidates=candidates, n_channels=2, schedule_start=0, schedule_end=4,
     )
     exact = oracles.solve_schedule_exact(packets, topo, n_channels=2, horizon=4, max_hops=2)
-    best_y = max(
-        routing_objective(ctx, combo)
-        for combo in itertools.product(*(range(s) for s in ctx.routing_gene_sizes()))
-    )
-    assert best_y == pytest.approx(oracles.objective(exact), rel=1e-9)
+    assert routing_objective(ctx) == pytest.approx(oracles.objective(exact), rel=1e-9)
 
 
 def test_scalarize_select_rules():
@@ -423,10 +403,10 @@ def test_evolve_deterministic_and_bounded():
     for ind in front_a:
         assert np.all(np.abs(ind.control_genes[..., 0]) <= cfg.comfort_r + 1e-9)
         assert np.all(np.abs(ind.control_genes[..., 1]) <= cfg.comfort_a + 1e-9)
-        decision = decode_schedule(ctx, ind.routing_genes)
-        assert oracles.check_feasible(
-            decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
-        )
+    decision = decode_schedule(ctx)
+    assert oracles.check_feasible(
+        decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
+    )
 
 
 def test_evolve_monotone_best_scalarized():
@@ -448,21 +428,31 @@ def test_evolve_degenerate_y_converges_to_min_j():
     assert min(i.objective_j for i in front) <= js[0] + 1e-9
 
 
-def test_evolve_finite_routing_space_matches_enumeration():
-    ctx, _ = make_context(n_packets=2, with_vehicle=False)
-    sizes = ctx.routing_gene_sizes()
-    best_y = max(
-        routing_objective(ctx, combo) for combo in itertools.product(*(range(s) for s in sizes))
-    )
-    params = GaParams(population=8, generations=50)
-    front = evolve(ctx, params, 1)
-    front_best = max(i.objective_y for i in front)
-    assert front_best == pytest.approx(best_y)
+def test_evolve_gives_every_genome_the_fit_value(monkeypatch):
+    # Y does not depend on the genome: every member of the initial and of
+    # every later population carries the decode oracle's summed path value
+    ctx, _ = make_context(n_packets=3)
+    expected = oracles.objective(oracles.decode_schedule(ctx))
+    assert expected > 0.0
+    seen = []
+    real_evaluate = optimizer.evaluate_population
+
+    def recording_evaluate(individuals, context):
+        real_evaluate(individuals, context)
+        seen.extend(ind.objective_y for ind in individuals)
+
+    monkeypatch.setattr(optimizer, "evaluate_population", recording_evaluate)
+    front = evolve(ctx, GaParams(population=8, generations=4), 1)
+    assert len(seen) == 8 * 5
+    assert all(y == expected and type(y) is float for y in seen)
+    assert all(ind.objective_y == expected for ind in front)
 
 
 def random_decode_context(rng) -> tuple:
     """Random topology, packets and channel budget; the last node has no
-    links, so packets to or from it have no candidates."""
+    links, so packets to or from it have no candidates. In half of the
+    contexts most packets share one linked (source, destination) pair, so
+    they compete for the same links and some take a later candidate."""
     n = int(rng.integers(3, 7))
     positions = {i: (float(rng.uniform(0, 250)), float(rng.choice([0.0, 6.0]))) for i in range(n)}
     speeds = {i: float(rng.choice([15.0, 15.5, 16.0])) for i in range(n)}
@@ -482,16 +472,21 @@ def random_decode_context(rng) -> tuple:
     start = int(rng.integers(0, 4))
     end = start + int(rng.integers(1, 9))
     ids = rng.permutation(12)
+    hot_pair = rng.random() < 0.5
+    pair = [int(x) for x in rng.choice(n - 1, size=2, replace=False)]
     packets, candidates = [], []
     for pid in ids[: int(rng.integers(0, 12))]:
         src, dst = (int(x) for x in rng.choice(n, size=2, replace=False))
+        max_hops = int(rng.integers(1, 4))
+        if hot_pair and rng.random() < 0.7:
+            (src, dst), max_hops = pair, 3
         packets.append(
             Packet(int(pid), start + int(rng.integers(-3, 4)), int(rng.integers(1, 7)), 1e5,
                    src, dst)
         )
-        cands = list(topo.candidate_paths(src, dst, int(rng.integers(1, 4))))
+        cands = list(topo.candidate_paths(src, dst, max_hops))
         if cands and rng.random() < 0.3:
-            cands.append(cands[0])  # tied path values at two gene values
+            cands.append(cands[0])  # a tied value later in candidate order
         candidates.append(cands)
     cfg = PlatoonConfig(horizon=2)
     ctx = JointContext(
@@ -502,46 +497,59 @@ def random_decode_context(rng) -> tuple:
     return ctx, topo
 
 
-def random_routing_genes(ctx, rng) -> np.ndarray:
-    # negative and out-of-range genes wrap modulo the candidate count
-    return np.array([int(rng.integers(-3, s + 3)) for s in ctx.routing_gene_sizes()], dtype=int)
-
-
 def test_decode_matches_reference_decode_exactly():
     rng = np.random.default_rng(2025)
-    seen = {"no_candidates": 0, "early_arrival": 0, "cut_by_end": 0, "gene_wraps": 0,
+    seen = {"no_candidates": 0, "early_arrival": 0, "cut_by_end": 0, "later_option": 0,
             "routed": 0, "unrouted": 0}
-    for _ in range(300):
+    for _ in range(600):
         ctx, topo = random_decode_context(rng)
-        population = []
-        for _ in range(8):
-            genes = random_routing_genes(ctx, rng)
-            decision = decode_schedule(ctx, genes)
-            reference = oracles.decode_schedule(ctx, genes)
-            assert list(decision.route_assign) == list(reference.route_assign)
-            assert all(
-                a is b
-                for a, b in zip(decision.route_assign.values(), reference.route_assign.values())
-            )
-            assert oracles.check_feasible(
-                decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
-            )
-            population.append(
-                Individual(control_genes=np.zeros((0, 2, 2)), routing_genes=genes)
-            )
-            sizes = ctx.routing_gene_sizes()
-            seen["gene_wraps"] += any(g < 0 or g >= s for g, s in zip(genes, sizes))
-            seen["routed"] += len(decision.route_assign)
-            seen["unrouted"] += sum(1 for c in ctx.candidates if c) - len(decision.route_assign)
+        decision = decode_schedule(ctx)
+        reference = oracles.decode_schedule(ctx)
+        assert list(decision.route_assign) == list(reference.route_assign)
+        assert all(
+            a is b
+            for a, b in zip(decision.route_assign.values(), reference.route_assign.values())
+        )
+        assert oracles.check_feasible(
+            decision, oracles.grants(decision), ctx.packets, topo, ctx.n_channels
+        )
+        population = [Individual(control_genes=np.zeros((0, 2, 2))) for _ in range(3)]
         evaluate_population(population, ctx)
+        expected = oracles.objective(reference)
         for ind in population:
-            expected = oracles.objective(oracles.decode_schedule(ctx, ind.routing_genes))
             assert ind.objective_y == expected
             assert type(ind.objective_y) is type(expected)
+        first = {id(p): cands[0] for p, cands in zip(ctx.packets, ctx.candidates) if cands}
+        by_id = {p.id: id(p) for p in ctx.packets}
+        seen["later_option"] += sum(
+            cand is not first[by_id[pid]] for (pid, _k0), cand in decision.route_assign.items()
+        )
+        seen["routed"] += len(decision.route_assign)
+        seen["unrouted"] += len(first) - len(decision.route_assign)
         seen["no_candidates"] += sum(1 for c in ctx.candidates if not c)
         seen["early_arrival"] += sum(p.arrival_slot < ctx.schedule_start for p in ctx.packets)
         seen["cut_by_end"] += sum(p.last_slot >= ctx.schedule_end for p in ctx.packets)
-    assert min(seen.values()) > 50, seen
+    assert seen.pop("later_option") > 20 and min(seen.values()) > 50, seen
+
+
+def test_decode_falls_back_to_a_later_candidate():
+    # three packets 0 -> 2 with a two-slot window and two channels: the
+    # best-valued candidate cannot carry all three, so one takes the other
+    topo = small_topology()
+    packets = [Packet(i, 0, 1, 1e5, 0, 2) for i in range(3)]
+    cands = topo.candidate_paths(0, 2, 2)
+    assert sorted(c.hops for c in cands) == [(0, 1, 2), (0, 2)]
+    cfg = PlatoonConfig()
+    ctx = JointContext(
+        platoon=cfg, control=no_followers(cfg), packets=packets, candidates=[cands] * 3,
+        n_channels=2, schedule_start=0, schedule_end=8,
+    )
+    decision = decode_schedule(ctx)
+    assert len(decision.route_assign) == 3
+    assert {id(c) for c in decision.route_assign.values()} == {id(c) for c in cands}
+    assert list(decision.route_assign.items()) == list(
+        oracles.decode_schedule(ctx).route_assign.items()
+    )
 
 
 def test_evolve_matches_reference_decode_and_sort(monkeypatch):
@@ -566,16 +574,14 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
         seed = int(rng.integers(1 << 30))
         stats: dict = {}
         front = evolve(ctx, params, seed, stats)
-        champion = best_of(front)
-        decision = decode_schedule(ctx, champion.routing_genes)
-        runs.append((ctx, seed, summary(front, stats), decision))
+        runs.append((ctx, seed, summary(front, stats), decode_schedule(ctx)))
 
     real_evaluate = optimizer.evaluate_population
 
     def reference_evaluate(individuals, ctx):
         real_evaluate(individuals, ctx)
         for ind in individuals:
-            ind.objective_y = oracles.objective(oracles.decode_schedule(ctx, ind.routing_genes))
+            ind.objective_y = oracles.objective(oracles.decode_schedule(ctx))
 
     monkeypatch.setattr(optimizer, "evaluate_population", reference_evaluate)
     monkeypatch.setattr(optimizer, "non_dominated_sort", oracles.non_dominated_sort)
@@ -583,8 +589,7 @@ def test_evolve_matches_reference_decode_and_sort(monkeypatch):
         stats = {}
         front = evolve(ctx, params, seed, stats)
         assert summary(front, stats) == expected
-        champion = best_of(front)
-        reference = oracles.decode_schedule(ctx, champion.routing_genes)
+        reference = oracles.decode_schedule(ctx)
         assert list(decision.route_assign.items()) == list(reference.route_assign.items())
 
 
@@ -639,7 +644,7 @@ def random_control_population(ctx: JointContext, rng) -> list:
         genes[..., 1] = rng.uniform(-1.6 * cfg.a_max, 1.6 * cfg.a_max, size=genes.shape[:2])
         if rng.random() < 0.5:
             genes = np.clip(genes, [-cfg.comfort_r, -cfg.comfort_a], [cfg.comfort_r, cfg.comfort_a])
-        population.append(Individual(control_genes=genes, routing_genes=np.zeros(0, dtype=int)))
+        population.append(Individual(control_genes=genes))
     return population
 
 

@@ -7,7 +7,10 @@ import pytest
 
 import oracles
 from dynaroute.channel import LinkSnapshot
+from dynaroute.control import ControlBatch, PlatoonConfig
+from dynaroute.dynamics import SafetyParams
 from dynaroute.link_metrics import NodeStatus
+from dynaroute.optimizer import JointContext, decode_schedule
 from dynaroute.scheduling import (
     Packet,
     ScheduleDecision,
@@ -211,6 +214,31 @@ def test_greedy_never_beats_exact_on_random_instances():
         assert objective(greedy) <= objective(exact) + 1e-9
         checked += 1
     assert checked >= 150
+
+
+def test_fit_never_beats_exact_on_random_instances():
+    # the GA packets' best-value-first deadline fit, on the same instances
+    rng = np.random.default_rng(2024)
+    checked = routed = 0
+    for _ in range(200):
+        packets, topo, n_channels, horizon = _random_instance(rng)
+        try:
+            exact = solve_schedule_exact(packets, topo, n_channels, horizon)
+        except ValueError:
+            continue
+        cfg = PlatoonConfig()
+        ctx = JointContext(
+            platoon=cfg, control=ControlBatch.build([], [], cfg, SafetyParams()),
+            packets=packets,
+            candidates=[topo.candidate_paths(p.source, p.destination, 3) for p in packets],
+            n_channels=n_channels, schedule_start=0, schedule_end=horizon,
+        )
+        fitted = decode_schedule(ctx)
+        assert check_feasible(fitted, grants(fitted), packets, topo, n_channels)
+        assert objective(fitted) <= objective(exact) + 1e-9
+        checked += 1
+        routed += len(fitted.route_assign)
+    assert checked >= 150 and routed > 100
 
 
 def test_greedy_matches_exact_on_disjoint_packets():
