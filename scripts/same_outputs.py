@@ -3,12 +3,14 @@
 
     python3 scripts/same_outputs.py PARENT CHANGE
 
-Each run loads a stored benchmark config (bench/configs/<workload>.json of
-the checkout) at its full duration and runs it in a subprocess with that
-checkout's src on PYTHONPATH. The matrix is case1-dynaroute seeds 0-2,
-case2-baseline seeds 0-5 and dense-dynaroute seeds 0-2 (16 vehicles: more
-relays per path query and more score ties). For every run the
-script prints, per checkout, the sha256 of trace.csv, packets.csv and
+Each run builds its config in a subprocess with the checkout's src on
+PYTHONPATH and runs it at its full duration. The stored benchmark configs
+(bench/configs/<workload>.json of the checkout) give case1-dynaroute seeds
+0-2, case2-baseline seeds 0-5 and dense-dynaroute seeds 0-2 (16 vehicles:
+more relays per path query and more score ties). The checkout's
+`default_config` gives case1 dynaroute at load 4 seeds 0-1 (a GA packet cap
+that is always full) and case2 dynaroute seed 0 (bursty loss, wider comfort
+envelope). For every run the script prints, per checkout, the sha256 of trace.csv, packets.csv and
 summary.csv and of the barrier-series digest (`series_digest_text` from
 this repository's tests/test_golden.py, which no CSV holds). It exits 1 when
 any CSV differs; a differing series digest is reported but not an error.
@@ -30,21 +32,35 @@ MATRIX = (
     [("case1-dynaroute", s) for s in range(3)]
     + [("case2-baseline", s) for s in range(6)]
     + [("dense-dynaroute", s) for s in range(3)]
+    + [("case1-dynaroute-load4", s) for s in range(2)]
+    + [("case2-dynaroute-default", 0)]
 )
+# workloads built from default_config(loss case) at a traffic load, not stored
+DEFAULT_WORKLOADS = {
+    "case1-dynaroute-load4": ("case1", 4.0),
+    "case2-dynaroute-default": ("case2", 1.0),
+}
 
-# Runs in the checkout's interpreter: argv is config path, seed, mode and
+# Runs in the checkout's interpreter: argv is the config (a stored config
+# path, or a JSON [loss case, load] pair for default_config), seed, mode and
 # test_golden.py path. Prints the hashes as JSON.
 CHILD = """
-import hashlib, importlib.util, json, sys, tempfile
+import dataclasses, hashlib, importlib.util, json, sys, tempfile
 from pathlib import Path
-from dynaroute.config import load_config
+from dynaroute.config import default_config, load_config
 from dynaroute.harness import export, run
 
-cfg_path, seed, mode, golden_path = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+source, seed, mode, golden_path = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+if source.endswith(".json"):
+    cfg = load_config(source)
+else:
+    loss_case, load = json.loads(source)
+    cfg = default_config(loss_case)
+    cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(cfg.traffic, load=load))
 spec = importlib.util.spec_from_file_location("golden", golden_path)
 golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden)
-log = run(load_config(cfg_path), seed=seed, mode=mode)
+log = run(cfg, seed=seed, mode=mode)
 with tempfile.TemporaryDirectory() as tmp:
     export(log, "csv", tmp)
     hashes = {name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
@@ -56,11 +72,14 @@ print(json.dumps(hashes))
 
 def run_hashes(checkout: Path, workload: str, seed: int) -> dict:
     """sha256 per CSV and of the series digest for one run in checkout."""
-    mode = workload.split("-", 1)[1]
+    mode = workload.split("-")[1]
+    if workload in DEFAULT_WORKLOADS:
+        source = json.dumps(DEFAULT_WORKLOADS[workload])
+    else:
+        source = str(checkout / "bench" / "configs" / f"{workload}.json")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(checkout / "bench" / "configs" / f"{workload}.json"),
-         str(seed), mode, str(GOLDEN_PATH)],
+        [sys.executable, "-c", CHILD, source, str(seed), mode, str(GOLDEN_PATH)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])

@@ -75,6 +75,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("sweep needs at least one value")
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"sweep values must be finite, got {args.values!r}")
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
         variants = [_sweep_configs(cfg, args.param, value) for value in values]
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -118,10 +118,16 @@ class ScenarioConfig:
             raise ConfigError("comm_range must be positive")
         if self.n_channels < 1:
             raise ConfigError("n_channels must be at least 1")
+        if self.queue_max < 1:
+            raise ConfigError("queue_max must be at least 1")
+        if self.beacon_bits < 0:
+            raise ConfigError("beacon_bits must be nonnegative")
         if self.loss_case not in LOSS_CASES:
             raise ConfigError(f"loss_case must be one of {sorted(LOSS_CASES)}")
         if self.ga_period < 1:
             raise ConfigError("ga_period must be at least 1")
+        if self.ga_packet_cap < 0:
+            raise ConfigError("ga_packet_cap must be nonnegative")
         if self.max_hops < 1 or self.paths_per_pair < 1:
             raise ConfigError("max_hops and paths_per_pair must be at least 1")
         if self.err_v_bound <= 0 or self.err_p_bound <= 0:
@@ -174,7 +180,11 @@ _RETIRED = {
         "tau3": ("float", 0.5),
     },
     "platoon": {"desired_gap": ("float", 10.0)},
-    "ga": {"combined_crowding": ("bool", True), "rng_seed": ("int", 0)},
+    "ga": {
+        "combined_crowding": ("bool", True),
+        "divisions": ("int", 9),
+        "rng_seed": ("int", 0),
+    },
 }
 
 # Python types a value of each field annotation may have; bool is an int

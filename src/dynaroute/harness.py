@@ -587,8 +587,9 @@ def _assign_routes(world: World, topo: TopologySnapshot) -> None:
 def _grant_channels(world: World, topo: TopologySnapshot) -> list:
     """(packet id, link, link snapshot) per granted request: at most
     n_channels grants and one per link. Dynaroute serves by path
-    value (what the GA's routing value Y sums), letting hopeless requests
-    expire; the baseline has no value concept and serves in arrival order."""
+    value (the score the deadline-order fit ranks candidates by), letting
+    hopeless requests expire; the baseline has no value concept and serves
+    in arrival order."""
     config = world.config
     requests = []
     for pid in sorted(world.pending):

@@ -1,15 +1,13 @@
-"""NSGA-II over the followers' control inputs: feasible-first domination on
-(transmission value, -control cost), fast non-dominated sorting, the combined
-subtractive crowding rule, simplex-lattice reference points with niche-based
-truncation, tournament selection and blend crossover with Gaussian mutation.
+"""A feasible-first elitist GA over the followers' control inputs: genomes
+rank by (infeasible, control cost J), the merged parents and offspring are
+truncated in that order, and parents are drawn by tournament on rank, then
+blended and mutated with bounded Gaussian noise.
 
 The GA optimises control only. Its packets are routed by one
 best-value-first deadline-order fit per context (scheduling.
-fit_deadline_order), and the transmission value Y is that fit's summed path
-value, the same for every genome; so genomes rank by feasibility, then by
-the control cost J. Objectives are evaluated against an immutable
-JointContext snapshot; all stochastic draws come from one seeded generator
-so runs are reproducible.
+fit_deadline_order, read by decode_schedule), which no genome changes.
+Genomes are evaluated against an immutable JointContext snapshot; all
+stochastic draws come from one seeded generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ class GaParams:
     crossover_rate: float = 0.9
     mutation_rate: float = 0.1
     tournament_size: int = 2
-    divisions: int = 9
 
     def __post_init__(self):
         if self.population < 4 or self.population % 2:
@@ -53,8 +51,6 @@ class GaParams:
                 raise ValueError("rates must lie in [0, 1]")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be at least 1")
-        if self.divisions < 1:
-            raise ValueError("divisions must be at least 1")
 
 
 @dataclass(eq=False)
@@ -62,28 +58,16 @@ class Individual:
     """One genome: per-follower input sequences, (followers, horizon, 2)."""
 
     control_genes: np.ndarray
-    objective_y: float = math.nan
     objective_j: float = math.nan
     feasible: bool = False
     rank: int = -1
     crowding: float = 0.0
-    indicators: tuple = (0.0, 0.0, 0.0)
 
     def genome_key(self) -> tuple:
         return tuple(self.control_genes.ravel().tolist())
 
     def copy(self) -> "Individual":
         return Individual(control_genes=self.control_genes.copy())
-
-
-@dataclass(frozen=True)
-class ReferencePointSet:
-    points: np.ndarray
-    divisions: int
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        return np.maximum(np.linalg.norm(self.points, axis=1), 1e-12)
 
 
 @dataclass
@@ -177,25 +161,14 @@ def decode_schedule(ctx: JointContext) -> ScheduleDecision:
 
 def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) -> None:
     """Score genomes in place, with one batch of control rollouts over all
-    (follower, genome) rows.
-
-    Y sums the path values of the routes decode_schedule returns, in
-    deadline order; it is the same for every genome. J, feasibility and the
-    niching indicators are summed over followers in follower order.
-    """
+    (follower, genome) rows: J and feasibility, summed over followers in
+    follower order."""
     n = len(individuals)
     if n == 0:
         return
-    routing_value = sum([option.cand.path_value for _pos, option, _start in ctx.fit])
-    for ind in individuals:
-        ind.objective_y = routing_value
-
     cfg = ctx.platoon
     costs = np.zeros(n)
     feasible = np.ones(n, dtype=bool)
-    effort = np.zeros(n)
-    speed_dev = np.zeros(n)
-    pos_dev = np.zeros(n)
     n_followers = ctx.n_vehicles
     if n_followers:
         # rows are follower-major: row v * n + i is follower v of genome i
@@ -206,162 +179,47 @@ def evaluate_population(individuals: Sequence[Individual], ctx: JointContext) ->
         states = rollout_candidates(rows.starts, inputs, cfg.dt)
         row_feasible = feasibility_mask(states, inputs, rows, cfg).reshape(n_followers, n)
         row_costs = trajectory_costs(states, inputs, rows, cfg).reshape(n_followers, n)
-        row_effort = np.abs(inputs).mean(axis=(1, 2)).reshape(n_followers, n)
-        row_speed = np.abs(states[:, :, 3] - rows.references[:, :, 3]).mean(axis=1).reshape(
-            n_followers, n
-        )
-        row_pos = np.abs(states[:, :, 0] - rows.references[:, :, 0]).mean(axis=1).reshape(
-            n_followers, n
-        )
         for v in range(n_followers):
             feasible &= row_feasible[v]
             costs += row_costs[v]
-            effort += row_effort[v]
-            speed_dev += row_speed[v]
-            pos_dev += row_pos[v]
 
-    for ind, cost, ok, *indicators in zip(
-        individuals, costs.tolist(), feasible.tolist(),
-        effort.tolist(), speed_dev.tolist(), pos_dev.tolist(),
-    ):
+    for ind, cost, ok in zip(individuals, costs.tolist(), feasible.tolist()):
         ind.objective_j = cost
         ind.feasible = ok
-        ind.indicators = tuple(indicators)
+
+
+def rank_key(ind: Individual) -> tuple:
+    """(infeasible, J): feasible genomes first, then lower J; a NaN J ranks
+    after every other J of its feasibility class."""
+    j = ind.objective_j
+    return (not ind.feasible, j != j, 0.0 if j != j else j)
 
 
 def non_dominated_sort(population: Sequence[Individual]) -> list:
-    """Fast non-dominated sort; assigns ranks and returns the fronts.
+    """Rank the population by rank_key; assigns ranks and returns the fronts.
 
-    Feasible-first dominance on (Y, -J) is computed as one boolean matrix;
-    fronts are then peeled from its dominator counts. Front 0 is in index
-    order; a later front is ordered by the position, within the previous
-    front, of each member's last dominator there, ties by index.
+    A stable sort, so a front is one run of equal keys in index order, and
+    rank is the front's index.
     """
-    n = len(population)
-    if n == 0:
-        return []
-    y = np.array([ind.objective_y for ind in population], dtype=float)
-    j = np.array([ind.objective_j for ind in population], dtype=float)
-    feas = np.array([ind.feasible for ind in population], dtype=bool)
-    yc, yr, jc, jr = y[:, None], y[None, :], j[:, None], j[None, :]
-    pareto = (yc >= yr) & (jc <= jr) & ((yc > yr) | (jc < jr))
-    fc, fr = feas[:, None], feas[None, :]
-    dom = np.where(fc == fr, pareto, fc & ~fr)
-
-    counts = dom.sum(axis=0).tolist()
-    dominated_by: list = [[] for _ in range(n)]
-    for p, q in zip(*(ix.tolist() for ix in np.nonzero(dom))):
-        dominated_by[p].append(q)
-    fronts = []
-    front = [p for p in range(n) if counts[p] == 0]
-    while front:
-        fronts.append([population[p] for p in front])
-        nxt = []
-        for p in front:
-            for q in dominated_by[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    nxt.append(q)
-        front = nxt
-    for rank, members in enumerate(fronts):
-        for ind in members:
+    fronts = [list(front) for _key, front in groupby(sorted(population, key=rank_key), rank_key)]
+    for rank, front in enumerate(fronts):
+        for ind in front:
             ind.rank = rank
     return fronts
 
 
 def crowding_distance(front: Sequence[Individual]) -> list:
-    """Per-individual diversity measure inside one front.
-
-    Distance is the normalized neighbor gap on Y, DISTANCE the same on -J;
-    they combine by subtraction. Boundary individuals on either objective
-    get the largest finite sentinel.
-    """
+    """Per-member diversity inside one front: members of a front tie on
+    their key, so the first and last get the largest finite sentinel and
+    the others 0.0."""
     n = len(front)
     if n == 0:
         raise ValueError("front must be non-empty")
-    dist_y = [0.0] * n
-    dist_j = [0.0] * n
-    boundary = [False] * n
-
-    for values, out in (
-        ([ind.objective_y for ind in front], dist_y),
-        ([-ind.objective_j for ind in front], dist_j),
-    ):
-        order = sorted(range(n), key=lambda i: values[i])
-        boundary[order[0]] = boundary[order[-1]] = True
-        span = values[order[-1]] - values[order[0]]
-        if span < 1e-12:
-            continue
-        for pos in range(1, n - 1):
-            i = order[pos]
-            out[i] = (values[order[pos + 1]] - values[order[pos - 1]]) / span
-
-    result = []
-    for i in range(n):
-        d = BOUNDARY_SENTINEL if boundary[i] else dist_y[i] - dist_j[i]
-        front[i].crowding = d
-        result.append(d)
+    result = [0.0] * n
+    result[0] = result[-1] = BOUNDARY_SENTINEL
+    for ind, d in zip(front, result):
+        ind.crowding = d
     return result
-
-
-def reference_points(divisions: int) -> ReferencePointSet:
-    """Simplex-lattice anchors over the three search indicators."""
-    if divisions < 1:
-        raise ValueError("divisions must be at least 1")
-    pts = []
-    for i in range(divisions + 1):
-        for j in range(divisions + 1 - i):
-            k = divisions - i - j
-            pts.append((i / divisions, j / divisions, k / divisions))
-    return ReferencePointSet(points=np.array(pts), divisions=divisions)
-
-
-def _nearest_niches(normed: np.ndarray, ref_points: ReferencePointSet) -> list:
-    """Per row of normed, the index of the reference direction with the
-    smallest perpendicular distance to it, from one (rows x points)
-    distance matrix."""
-    points, norms = ref_points.points, ref_points.norms
-    proj = (normed[:, None, :] * points[None, :, :]).sum(axis=2) / norms[None, :]
-    perp = np.linalg.norm(
-        normed[:, None, :] - proj[:, :, None] * points[None, :, :] / norms[None, :, None],
-        axis=2,
-    )
-    return np.argmin(perp, axis=1).tolist()
-
-
-def _niche_truncate(
-    front: Sequence[Individual],
-    k: int,
-    ref_points: ReferencePointSet,
-    already_selected: Sequence[Individual],
-) -> list:
-    """Pick k members of the overflowing front, favoring under-covered
-    reference directions, then higher crowding; deterministic."""
-    if k <= 0:
-        return []
-    everyone = list(already_selected) + list(front)
-    coords = np.array([ind.indicators for ind in everyone], dtype=float)
-    span = coords.max(axis=0) - coords.min(axis=0)
-    span[span < 1e-12] = 1.0
-    normed = (coords - coords.min(axis=0)) / span
-    niches = _nearest_niches(normed, ref_points)
-
-    niche_count: dict = {}
-    for niche in niches[: len(already_selected)]:
-        niche_count[niche] = niche_count.get(niche, 0) + 1
-    member_niches = niches[len(already_selected) :]
-    neg_crowding = [-ind.crowding for ind in front]
-
-    chosen: list = []
-    remaining = set(range(len(front)))
-    while len(chosen) < k and remaining:
-        _count, _crowd, pick = min(
-            (niche_count.get(member_niches[i], 0), neg_crowding[i], i) for i in remaining
-        )
-        remaining.discard(pick)
-        chosen.append(front[pick])
-        niche_count[member_niches[pick]] = niche_count.get(member_niches[pick], 0) + 1
-    return chosen
 
 
 def tournament_select(
@@ -446,23 +304,31 @@ def _initial_population(ctx: JointContext, params: GaParams, rng) -> list:
     return population[: params.population]
 
 
-def scalarize_select(front: Sequence[Individual]) -> Individual:
-    """Final pick: argmax of Y - J, ties to lower J then lexicographic genome."""
-    if not front:
-        raise ValueError("front must be non-empty")
-    best_scalar = max(ind.objective_y - ind.objective_j for ind in front)
-    tied = [ind for ind in front if ind.objective_y - ind.objective_j == best_scalar]
-    if len(tied) == 1:
-        return tied[0]
-    best_j = min(ind.objective_j for ind in tied)
-    tied = [ind for ind in tied if ind.objective_j == best_j]
-    return min(tied, key=Individual.genome_key) if len(tied) > 1 else tied[0]
+def select_survivors(merged: Sequence[Individual], size: int) -> list:
+    """The size best members of merged: whole fronts in rank order, each
+    given its crowding, and the overflowing front cut by crowding (its
+    first and last members, then the rest in order)."""
+    survivors: list = []
+    for front in non_dominated_sort(merged):
+        crowding_distance(front)
+        room = size - len(survivors)
+        if len(front) <= room:
+            survivors.extend(front)
+        else:
+            survivors.extend(sorted(front, key=lambda ind: -ind.crowding)[:room])
+            break
+    return survivors
 
 
 def best_of(population: Sequence[Individual]) -> Individual:
-    """Champion rule: scalarize_select over the feasible members, or over
-    all of them when none is feasible."""
-    return scalarize_select([i for i in population if i.feasible] or list(population))
+    """Champion rule: the least rank_key, i.e. least J among the feasible
+    members (among all of them when none is feasible), ties to the
+    lexicographically least genome."""
+    if not population:
+        raise ValueError("population must be non-empty")
+    least = min(map(rank_key, population))
+    tied = [ind for ind in population if rank_key(ind) == least]
+    return tied[0] if len(tied) == 1 else min(tied, key=Individual.genome_key)
 
 
 def evolve(
@@ -471,11 +337,13 @@ def evolve(
     """Elitist generational loop seeded with rng_seed; returns the final
     first front.
 
-    The best feasible scalarized individual is explicitly protected during
-    truncation, so the best known Y - J never regresses between generations.
+    Parents and offspring are merged and cut back to the population size
+    by select_survivors. The champion (best_of) is protected during
+    truncation and replaced only by a genome of lower rank_key, so its J
+    never rises while it stays feasible; stats["best_j"] records its J per
+    generation.
     """
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    ref_pts = reference_points(params.divisions)
     population = _initial_population(ctx, params, rng)
     evaluate_population(population, ctx)
     fronts = non_dominated_sort(population)
@@ -483,7 +351,6 @@ def evolve(
         crowding_distance(front)
 
     if stats is not None:
-        stats.setdefault("best_y_minus_j", [])
         stats.setdefault("best_j", [])
 
     bounds = (ctx.platoon.comfort_r, ctx.platoon.comfort_a)
@@ -500,21 +367,9 @@ def evolve(
         evaluate_population(offspring, ctx)
 
         merged = population + offspring
-        fronts = non_dominated_sort(merged)
-        next_pop: list = []
-        for front in fronts:
-            crowding_distance(front)
-            if len(next_pop) + len(front) <= params.population:
-                next_pop.extend(front)
-            else:
-                next_pop.extend(
-                    _niche_truncate(front, params.population - len(next_pop), ref_pts, next_pop)
-                )
-                break
+        next_pop = select_survivors(merged, params.population)
         candidate_champion = best_of(merged)
-        if _scalarized(candidate_champion) > _scalarized(champion) or (
-            champion.feasible is False and candidate_champion.feasible
-        ):
+        if rank_key(candidate_champion) < rank_key(champion):
             champion = candidate_champion
         if champion not in next_pop:
             next_pop[-1] = champion
@@ -523,10 +378,5 @@ def evolve(
         for front in fronts:
             crowding_distance(front)
         if stats is not None:
-            stats["best_y_minus_j"].append(_scalarized(best_of(population)))
-            stats["best_j"].append(min(i.objective_j for i in population))
+            stats["best_j"].append(champion.objective_j)
     return fronts[0] if population else []
-
-
-def _scalarized(ind: Individual) -> float:
-    return ind.objective_y - ind.objective_j

@@ -1,10 +1,9 @@
 """Reference implementations kept for the tests: straightforward per-genome,
 per-follower, per-problem, per-member, per-path and per-packet loops that
 the table-driven and batched code in `dynaroute` must reproduce exactly
-(same placements, same float bits, same front order, same niche picks, same
-kept paths, same routes), and the scalar formulas (stage cost, path speed
-dispersion, hop aggregation, pairwise dominance) the vectorized kernels
-compute. The offline schedule references live here too: the feasibility
+(same placements, same float bits, same front order, same kept paths, same
+routes), and the scalar formulas (stage cost, path speed dispersion, hop
+aggregation, pairwise dominance) the vectorized kernels compute. The offline schedule references live here too: the feasibility
 check of routes against a channel plan, the exhaustive small-instance
 solver and the deadline-first greedy solver, which bound and check the
 routes of the GA decode.
@@ -104,12 +103,14 @@ def normalized_hop_aggregate(values: Sequence[float]) -> float:
 
 
 def dominates(a: Individual, b: Individual) -> bool:
-    """Feasible-first Pareto dominance on (Y, -J), one pair at a time."""
+    """Feasible-first domination on J, one pair at a time: a feasible genome
+    dominates an infeasible one; within a feasibility class the lower J
+    dominates, and any J dominates a NaN J."""
     if a.feasible != b.feasible:
         return a.feasible
-    no_worse = a.objective_y >= b.objective_y and a.objective_j <= b.objective_j
-    better = a.objective_y > b.objective_y or a.objective_j < b.objective_j
-    return no_worse and better
+    if math.isnan(a.objective_j):
+        return False
+    return math.isnan(b.objective_j) or a.objective_j < b.objective_j
 
 
 def decode_schedule(ctx: JointContext) -> ScheduleDecision:
@@ -153,8 +154,8 @@ def decode_schedule(ctx: JointContext) -> ScheduleDecision:
 
 
 def non_dominated_sort(population) -> list:
-    """Pairwise fast non-dominated sort (Deb et al. 2002); assigns ranks and
-    returns the fronts as lists of individuals."""
+    """Pairwise fast non-dominated sort (Deb et al. 2002) under `dominates`;
+    assigns ranks and returns the fronts as lists of individuals."""
     n = len(population)
     dominated_by: list = [[] for _ in range(n)]
     counts = [0] * n
@@ -487,72 +488,24 @@ def random_individual(ctx: JointContext, rng: np.random.Generator) -> Individual
 
 def evaluate_population(individuals, ctx: JointContext) -> None:
     """Score genomes in place, one kernel call per follower over the
-    population: the control objective, feasibility and niching indicators
-    summed in follower order. Y is left to the decode oracle."""
+    population: the control objective and feasibility summed in follower
+    order."""
     n = len(individuals)
     if n == 0:
         return
     cfg = ctx.platoon
     costs = np.zeros(n)
     feasible = np.ones(n, dtype=bool)
-    effort = np.zeros(n)
-    speed_dev = np.zeros(n)
-    pos_dev = np.zeros(n)
     for v in range(ctx.n_vehicles):
         rows = _problem_rows(ctx.control, v, n)
-        reference = ctx.control.references[v]
         inputs = np.stack([ind.control_genes[v] for ind in individuals])
         states = rollout_candidates(rows.starts, inputs, cfg.dt)
         feasible &= feasibility_mask(states, inputs, rows, cfg)
         costs += trajectory_costs(states, inputs, rows, cfg)
-        effort += np.abs(inputs).mean(axis=(1, 2))
-        speed_dev += np.abs(states[:, :, 3] - reference[None, :, 3]).mean(axis=1)
-        pos_dev += np.abs(states[:, :, 0] - reference[None, :, 0]).mean(axis=1)
 
     for i, ind in enumerate(individuals):
         ind.objective_j = float(costs[i])
         ind.feasible = bool(feasible[i])
-        ind.indicators = (float(effort[i]), float(speed_dev[i]), float(pos_dev[i]))
-
-
-def _nearest_niche(vec, points) -> int:
-    """Index of the reference direction with the smallest perpendicular
-    distance to vec."""
-    norms = np.maximum(np.linalg.norm(points, axis=1), 1e-12)
-    proj = (vec[None, :] * points).sum(axis=1) / norms
-    perp = np.linalg.norm(vec[None, :] - proj[:, None] * points / norms[:, None], axis=1)
-    return int(np.argmin(perp))
-
-
-def niche_truncate(front, k: int, ref_points, already_selected) -> list:
-    """Niche truncation with one distance computation per individual and a
-    full sort of the remaining members per pick."""
-    if k <= 0:
-        return []
-    everyone = list(already_selected) + list(front)
-    coords = np.array([ind.indicators for ind in everyone], dtype=float)
-    span = coords.max(axis=0) - coords.min(axis=0)
-    span[span < 1e-12] = 1.0
-    normed = (coords - coords.min(axis=0)) / span
-    niches = [_nearest_niche(normed[i], ref_points.points) for i in range(len(everyone))]
-
-    niche_count: dict = {}
-    for niche in niches[: len(already_selected)]:
-        niche_count[niche] = niche_count.get(niche, 0) + 1
-    member_niches = niches[len(already_selected) :]
-
-    chosen: list = []
-    remaining = set(range(len(front)))
-    while len(chosen) < k and remaining:
-        ranked = sorted(
-            (niche_count.get(member_niches[i], 0), -front[i].crowding, i)
-            for i in remaining
-        )
-        pick = ranked[0][2]
-        remaining.discard(pick)
-        chosen.append(front[pick])
-        niche_count[member_niches[pick]] = niche_count.get(member_niches[pick], 0) + 1
-    return chosen
 
 
 def solve_dmpc(

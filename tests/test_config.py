@@ -131,6 +131,7 @@ RETIRED = {
     ("safety", "tau3"): 0.5,
     ("platoon", "desired_gap"): 10.0,
     ("ga", "combined_crowding"): True,
+    ("ga", "divisions"): 9,
     ("ga", "rng_seed"): 0,
 }
 
@@ -163,6 +164,41 @@ def test_retired_key_rejected_away_from_its_old_default(section, key):
     data["channel"][key] = RETIRED[(section, key)]
     with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [1, 8, 10, 0, -9])
+def test_divisions_accepted_only_at_its_old_default(value, tmp_path, capsys):
+    # the GA has no reference-point niching left to divide
+    data = config_to_dict(default_config())
+    assert "divisions" not in data["ga"]
+    data["ga"]["divisions"] = 9
+    assert config_from_dict(data) == default_config()
+    data["ga"]["divisions"] = value
+    with pytest.raises(ConfigError, match=r"retired key 'ga\.divisions'.* 9, got"):
+        config_from_dict(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert "ga.divisions" in capsys.readouterr().err
+
+
+# values the run cannot use, each with the least value it can
+@pytest.mark.parametrize("key, bad, least", [
+    ("beacon_bits", -3200.0, 0.0),
+    ("queue_max", 0, 1),
+    ("ga_packet_cap", -1, 0),
+])
+def test_values_the_run_cannot_use_rejected_at_load(key, bad, least, tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data[key] = bad
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    data[key] = least
+    assert getattr(config_from_dict(data), key) == least
 
 
 def test_dump_round_trip_writes_no_retired_key(tmp_path):

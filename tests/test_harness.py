@@ -483,6 +483,22 @@ def test_cli_sweep_writes_summary(tmp_path):
     assert len(lines) == 1 + 2 * 2  # two values x two modes x one seed
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_cli_sweep_rejects_fewer_than_one_seed_before_any_run(
+    tmp_path, monkeypatch, capsys, seeds
+):
+    import dynaroute.cli as cli_mod
+
+    runs = []
+    monkeypatch.setattr(cli_mod, "run", lambda cfg, seed, mode: runs.append(mode))
+    out = tmp_path / "sweep"
+    rc = cli_main(["sweep", "--param", "load", "--values", "1", "--seeds", seeds,
+                   "--out", str(out)])
+    assert rc == 2
+    assert runs == [] and not out.exists()
+    assert "--seeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("param, values", [
     ("load", "-1"),
     ("interval", "0"),
